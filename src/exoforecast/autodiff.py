@@ -5,11 +5,24 @@ while any input is gradient-tracked, and ``Tape.backward`` walks the
 recording in reverse to accumulate adjoints into ``Tensor.grad``.
 Everything is double precision; gradient checking at tight relative
 tolerances is not reliable in float32.
+
+Memory contract:
+
+- ``.grad`` exists only on ``requires_grad`` tensors (the leaves a caller
+  optimizes); every other tensor, recorded or not, has ``grad is None``.
+- A recorded tensor refers to its tape weakly, so nothing but the tape's
+  owner keeps a tape alive: a tape and the activations its nodes hold are
+  freed by reference counting as soon as the owner drops it, even while
+  the root or other outputs are still referenced (their ``.tape`` then
+  reads ``None``).
+- ``Tape.backward`` releases the adjoint of each intermediate as soon as
+  the VJP of the node producing it has consumed it.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,16 +35,20 @@ def _active_tape() -> Optional["Tape"]:
 
 
 class Tensor:
-    """Dense value plus an accumulated gradient of identical shape."""
+    """Dense value; a ``requires_grad`` leaf also accumulates a same-shaped ``.grad``."""
 
-    __slots__ = ("values", "grad", "requires_grad", "tape", "tape_id")
+    __slots__ = ("values", "grad", "requires_grad", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if requires_grad else None
         self.requires_grad = requires_grad
-        self.tape: Optional[Tape] = None
-        self.tape_id: Optional[int] = None
+        self._tape: Optional[weakref.ref] = None
+
+    @property
+    def tape(self) -> Optional["Tape"]:
+        """The live tape that recorded this tensor, else ``None``."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self):
@@ -49,7 +66,8 @@ class Tensor:
         return float(self.values)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -87,6 +105,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def uniform_parameter(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
+    """Trainable leaf drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = 1.0 / np.sqrt(max(fan_in, 1))
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
 class TapeNode:
     """One recorded primitive: inputs, output and its vector-Jacobian rule."""
 
@@ -109,6 +133,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self._ref = weakref.ref(self)  # what recorded tensors hold instead of the tape
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -121,38 +146,44 @@ class Tape:
         return False
 
     def backward(self, root: Tensor) -> None:
-        """Accumulate d(root)/d(tensor) into ``.grad`` of every tracked tensor.
+        """Accumulate d(root)/d(leaf) into ``.grad`` of every ``requires_grad`` leaf.
 
         ``root`` must be scalar-shaped (size 1). Repeated calls without
-        zeroing the grads accumulate, each call adding one full gradient.
+        zeroing the grads accumulate, each call adding one full gradient;
+        the tape is only read, so it can be replayed.
+
+        Only leaves get a ``.grad``; the adjoint of an intermediate (a tensor
+        recorded on this tape) lives in a local map and is released as soon
+        as the VJP of the node that produced it has consumed it. Leaf
+        adjoints are summed over the sweep and added to ``.grad`` at the end.
         """
         if root.tape is not self:
             raise ValueError("root was not produced on this tape")
         if root.values.size != 1:
             raise ValueError(f"backward root must be scalar-shaped, got {root.shape}")
         adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
-        holder: dict[int, Tensor] = {id(root): root}
+        leaf: dict[int, list] = {}  # id -> [leaf tensor, summed adjoint]
         for node in reversed(self.nodes):
-            g_out = adjoint.get(id(node.output))
+            g_out = adjoint.pop(id(node.output), None)
             if g_out is None:
                 continue
-            grads = node.vjp(g_out)
-            for t, g in zip(node.inputs, grads):
-                if g is None or not _tracked(t, self):
+            for t, g in zip(node.inputs, node.vjp(g_out)):
+                if g is None:
                     continue
                 key = id(t)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + g
-                else:
-                    adjoint[key] = g
-                    holder[key] = t
-        for key, g in adjoint.items():
-            t = holder[key]
+                if t._tape is self._ref:
+                    adjoint[key] = adjoint[key] + g if key in adjoint else g
+                elif t.requires_grad:
+                    if key in leaf:
+                        leaf[key][1] = leaf[key][1] + g
+                    else:
+                        leaf[key] = [t, g]
+        for t, g in leaf.values():
             t.grad = t.grad + g.reshape(t.values.shape)
 
 
 def _tracked(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or t.tape is tape
+    return t.requires_grad or t._tape is tape._ref
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_values: np.ndarray,
@@ -160,8 +191,7 @@ def _record(op: str, inputs: Sequence[Tensor], out_values: np.ndarray,
     out = Tensor(out_values)
     tape = _active_tape()
     if tape is not None and any(_tracked(t, tape) for t in inputs):
-        out.tape = tape
-        out.tape_id = len(tape.nodes)
+        out._tape = tape._ref
         tape.nodes.append(TapeNode(op, inputs, out, vjp))
     return out
 
@@ -489,7 +519,7 @@ def grad_check(fn: Callable[[], Tensor], wrt, step: float = 1e-5) -> float:
     Returns max over coordinates of |analytic - fd| / max(1, |fd|).
     """
     tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
-    saved = [(t.requires_grad, t.grad.copy()) for t in tensors]
+    saved = [(t.requires_grad, t.grad) for t in tensors]
     for t in tensors:
         t.requires_grad = True
         t.grad = np.zeros_like(t.values)

@@ -85,17 +85,12 @@ class MlpMixerParams:
         return out
 
 
-def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
 def init_readout(feat_dim: int, t_future: int, hidden: int,
                  rng: np.random.Generator) -> ReadoutParams:
     return ReadoutParams(
-        w_seq=_uniform(rng, (feat_dim, t_future * hidden), feat_dim),
+        w_seq=ad.uniform_parameter(rng, (feat_dim, t_future * hidden), feat_dim),
         b_seq=Tensor(np.zeros(t_future * hidden), requires_grad=True),
-        w_out=_uniform(rng, (hidden, 1), hidden),
+        w_out=ad.uniform_parameter(rng, (hidden, 1), hidden),
         b_out=Tensor(np.zeros(1), requires_grad=True),
     )
 
@@ -104,14 +99,14 @@ def init_grugcn(spec: BackboneSpec, rng: np.random.Generator) -> GruGcnParams:
     h = spec.hidden
 
     def gate():
-        return (_uniform(rng, (2 * h, h), 2 * h),
+        return (ad.uniform_parameter(rng, (2 * h, h), 2 * h),
                 Tensor(np.zeros(h), requires_grad=True))
 
     w_z, b_z = gate()
     w_r, b_r = gate()
     w_c, b_c = gate()
     return GruGcnParams(
-        w_s=_uniform(rng, (h, h), h),
+        w_s=ad.uniform_parameter(rng, (h, h), h),
         w_z=w_z, b_z=b_z, w_r=w_r, b_r=b_r, w_c=w_c, b_c=b_c,
         readout=init_readout(h, spec.t_future, h, rng),
     )
@@ -121,9 +116,9 @@ def init_mlp_mixer(spec: BackboneSpec, t_in: int, rng: np.random.Generator) -> M
     flat = t_in * spec.hidden
     m = spec.mix_hidden
     return MlpMixerParams(
-        w1=_uniform(rng, (flat, m), flat),
+        w1=ad.uniform_parameter(rng, (flat, m), flat),
         b1=Tensor(np.zeros(m), requires_grad=True),
-        w2=_uniform(rng, (m, m), m),
+        w2=ad.uniform_parameter(rng, (m, m), m),
         b2=Tensor(np.zeros(m), requires_grad=True),
         readout=init_readout(m, spec.t_future, spec.hidden, rng),
     )

@@ -81,15 +81,19 @@ def format_table(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prepare(run: RunConfig) -> PreparedData:
-    panel = load_panel(run.data, run.schema)
-    prepared = prepare_splits(panel, run.t_past, run.t_future)
-    if not (run.use_past and run.use_future and run.use_date):
-        for name in ("train", "val", "test"):
-            masked = mask_exogenous(getattr(prepared, name), prepared.layout,
-                                    run.use_past, run.use_future, run.use_date)
-            setattr(prepared, name, masked)
-    return prepared
+def _load_prepared(cfg) -> PreparedData:
+    """Load and prepare the panel named by ``cfg`` (parsed args or a RunConfig)."""
+    return prepare_splits(load_panel(cfg.data, cfg.schema), cfg.t_past, cfg.t_future)
+
+
+def _masked(prepared: PreparedData, run: RunConfig) -> PreparedData:
+    """The run's data-ablation view of ``prepared``, which is left unchanged."""
+    if run.use_past and run.use_future and run.use_date:
+        return prepared
+    return dataclasses.replace(prepared, **{
+        name: mask_exogenous(getattr(prepared, name), prepared.layout,
+                             run.use_past, run.use_future, run.use_date)
+        for name in ("train", "val", "test")})
 
 
 def _model_config(args, prepared: PreparedData) -> ModelConfig:
@@ -182,11 +186,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_run(args) -> RunConfig:
-    # probe the panel once: the model config needs the layout widths
-    panel = load_panel(args.data, args.schema)
-    prepared_probe = prepare_splits(panel, args.t_past, args.t_future)
-    model_cfg = _model_config(args, prepared_probe)
+def _build_run(args, prepared: PreparedData) -> RunConfig:
+    """The run archive for ``args``; the model config needs the layout widths."""
+    model_cfg = _model_config(args, prepared)
     return RunConfig(
         data=str(args.data), schema=str(args.schema), seed=args.seed,
         t_past=args.t_past, t_future=args.t_future,
@@ -199,8 +201,9 @@ def _build_run(args) -> RunConfig:
 
 
 def cmd_train(args) -> int:
-    run = _build_run(args)
-    prepared = _prepare(run)
+    prepared = _load_prepared(args)
+    run = _build_run(args, prepared)
+    prepared = _masked(prepared, run)
     model, result = _train_once(run, prepared)
     rows = [_evaluate(model, run, prepared, days)
             for days in range(1, run.horizon_days + 1)]
@@ -217,7 +220,7 @@ def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
     if not config_path.exists():
         raise FileNotFoundError(f"missing model archive: {config_path}")
     run = RunConfig.from_dict(json.loads(config_path.read_text()))
-    prepared = _prepare(run)
+    prepared = _masked(_load_prepared(run), run)
     model = load_model(model_dir / "model.bin", ModelConfig.from_dict(run.model))
     return run, model, prepared
 
@@ -248,18 +251,19 @@ _DATA_ABLATIONS = [  # the seven past/future/date input combinations
 
 def cmd_ablate(args) -> int:
     rows = []
+    prepared = _load_prepared(args)
 
     def one(label: str, *, use_past=True, use_future=True, use_date=True,
             fusion="context", no_selector=False, no_balancer=False):
-        run = _build_run(args)
+        run = _build_run(args, prepared)
         run.use_past, run.use_future, run.use_date = use_past, use_future, use_date
         run.model["fusion"] = fusion
         run.model["use_selector"] = not no_selector
         run.model["use_balancer"] = not no_balancer
-        prepared = _prepare(run)
-        model, _ = _train_once(run, prepared)
+        variant_data = _masked(prepared, run)
+        model, _ = _train_once(run, variant_data)
         row = {"variant": label}
-        row.update(_evaluate(model, run, prepared, args.horizon_days))
+        row.update(_evaluate(model, run, variant_data, args.horizon_days))
         rows.append(row)
 
     for use_past, use_future, use_date in _DATA_ABLATIONS:

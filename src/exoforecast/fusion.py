@@ -48,19 +48,14 @@ class AttentionParams:
                 f"{prefix}.w_v": self.w_v}
 
 
-def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
 def init_balancer(t_future: int, rng: np.random.Generator, reduction: int = 4,
                   scalar: bool = False) -> BalancerParams:
     dim = 1 if scalar else t_future
     width = max(dim // max(reduction, 1), 4)
     return BalancerParams(
-        w1=_uniform(rng, (dim, width), dim),
+        w1=ad.uniform_parameter(rng, (dim, width), dim),
         b1=Tensor(np.zeros(width), requires_grad=True),
-        w2=_uniform(rng, (width, dim), width),
+        w2=ad.uniform_parameter(rng, (width, dim), width),
         b2=Tensor(np.zeros(dim), requires_grad=True),
         scalar=scalar,
     )
@@ -68,9 +63,9 @@ def init_balancer(t_future: int, rng: np.random.Generator, reduction: int = 4,
 
 def init_attention(width: int, rng: np.random.Generator) -> AttentionParams:
     return AttentionParams(
-        w_q=_uniform(rng, (width, width), width),
-        w_k=_uniform(rng, (width, width), width),
-        w_v=_uniform(rng, (width, width), width),
+        w_q=ad.uniform_parameter(rng, (width, width), width),
+        w_k=ad.uniform_parameter(rng, (width, width), width),
+        w_v=ad.uniform_parameter(rng, (width, width), width),
     )
 
 

@@ -7,6 +7,7 @@ reloaded bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -230,20 +231,41 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Read an archive written by ``save_tensors``.
+
+    Every read is length-checked: a wrong magic, a file that ends inside a
+    record, or bytes after the last tensor raise ``ValueError`` naming
+    ``path``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(ARCHIVE_MAGIC))
-        if magic != ARCHIVE_MAGIC:
-            raise ValueError(f"{path} is not a model archive (magic {magic!r})")
-        (count,) = struct.unpack("<I", fh.read(4))
-        out = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n_values = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_values), dtype="<f8")
-            out[name] = data.reshape(shape).copy()
+        buf = fh.read()
+    magic = buf[:len(ARCHIVE_MAGIC)]
+    if magic != ARCHIVE_MAGIC:
+        raise ValueError(f"{path} is not a model archive (magic {magic!r})")
+    pos = len(ARCHIVE_MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise ValueError(f"{path} is truncated: needs {pos + n} bytes, "
+                             f"has {len(buf)}")
+        chunk = buf[pos:pos + n]
+        pos += n
+        return chunk
+
+    def unpack(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    count = unpack("<I")
+    out = {}
+    for _ in range(count):
+        name = take(unpack("<H")).decode("utf-8")
+        shape = tuple(unpack("<I") for _ in range(unpack("<B")))
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        out[name] = data.reshape(shape).copy()
+    if pos != len(buf):
+        raise ValueError(f"{path} has {len(buf) - pos} trailing bytes "
+                         f"after its {count} tensors")
     return out
 
 
@@ -267,5 +289,4 @@ def load_model(path, config: ModelConfig) -> ExoModel:
             raise ValueError(f"shape mismatch for {name}: "
                              f"{tensor.values.shape} vs {stored[name].shape}")
         tensor.values = stored[name]
-        tensor.grad = np.zeros_like(stored[name])
     return model

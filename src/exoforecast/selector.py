@@ -56,18 +56,13 @@ class ExpertBank:
         return out
 
 
-def _uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
 def init_cond_embed(f_in: int, f_exo: int, hidden: int, rng: np.random.Generator,
                     activation: str = "relu", keep_prob: float = 0.9) -> CondEmbedParams:
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     return CondEmbedParams(
-        w_x=_uniform(rng, (f_in, hidden), f_in),
-        w_e=_uniform(rng, (f_exo, hidden), max(f_exo, 1)),
+        w_x=ad.uniform_parameter(rng, (f_in, hidden), f_in),
+        w_e=ad.uniform_parameter(rng, (f_exo, hidden), max(f_exo, 1)),
         b=Tensor(np.zeros(hidden), requires_grad=True),
         activation=activation,
         keep_prob=keep_prob,
@@ -78,8 +73,9 @@ def init_expert_bank(hidden: int, n_experts: int, rng: np.random.Generator) -> E
     if n_experts < 1:
         raise ValueError("at least one expert required")
     return ExpertBank(
-        experts=[_uniform(rng, (hidden, hidden), hidden) for _ in range(n_experts)],
-        gate=_uniform(rng, (hidden, n_experts), hidden),
+        experts=[ad.uniform_parameter(rng, (hidden, hidden), hidden)
+                 for _ in range(n_experts)],
+        gate=ad.uniform_parameter(rng, (hidden, n_experts), hidden),
     )
 
 

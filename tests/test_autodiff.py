@@ -1,10 +1,18 @@
 """Tests for the reverse-mode tape engine."""
 
+import gc
+import importlib.util
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from exoforecast import autodiff as ad
+from exoforecast import training
 from exoforecast.autodiff import Tape, Tensor, apply_primitive, grad_check
+from exoforecast.data import SynthConfig, prepare_splits, synth_generate
+from exoforecast.model import ExoModel, ModelConfig
 
 
 def test_softmax_of_zeros_is_uniform():
@@ -243,3 +251,107 @@ def test_grads_finite_after_backward_on_extreme_inputs():
         y = ad.reduce_sum(ad.softmax(ad.sigmoid(x) * 50.0, axis=1))
     tape.backward(y)
     assert np.isfinite(x.grad).all()
+
+
+# ---------------------------------------------------------------------------
+# Memory contract: tapes die by refcount, grads live on leaves only
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_gc():
+    """Run with the cycle collector off, so only reference counting frees."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+def test_finished_tape_freed_by_refcount(no_gc):
+    w = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+    with Tape() as tape:
+        root = ad.reduce_sum(ad.tanh(ad.matmul(w, w)))
+    tape.backward(root)
+    assert root.tape is tape
+    tape_ref = weakref.ref(tape)
+    del tape
+    assert tape_ref() is None
+    assert root.tape is None
+    assert root.values.shape == ()
+
+
+def test_grad_only_on_requires_grad_leaves():
+    rng = np.random.default_rng(12)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    with Tape() as tape:
+        h = ad.tanh(ad.matmul(x, w))
+        y = ad.reduce_sum(h)
+    intermediates = (x, h, y)
+    assert all(t.grad is None for t in intermediates)
+    tape.backward(y)
+    assert all(t.grad is None for t in intermediates)
+    assert isinstance(w.grad, np.ndarray) and w.grad.shape == w.shape
+    assert np.abs(w.grad).sum() > 0.0
+
+
+def test_leaves_sharing_an_adjoint_get_distinct_grads():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(np.full(3, 2.0), requires_grad=True)
+    with Tape() as tape:
+        s = ad.reduce_sum(x + y)  # add's VJP hands the same array to both
+    tape.backward(s)
+    assert x.grad is not y.grad
+    x.zero_grad()
+    np.testing.assert_array_equal(x.grad, np.zeros(3))
+    np.testing.assert_array_equal(y.grad, np.ones(3))
+
+
+def _train_tiny_grugcn(steps: int = 3) -> None:
+    panel = synth_generate(SynthConfig(nodes=2, steps=120, lag=3, seed=0))
+    prepared = prepare_splits(panel, t_past=6, t_future=4)
+    model = ExoModel(ModelConfig(
+        n_nodes=2, past_exo_dim=len(prepared.layout.past),
+        future_exo_dim=len(prepared.layout.future), t_past=6, t_future=4,
+        hidden=4, experts=2, backbone="grugcn", graph_k=1, seed=1),
+        target_series=prepared.train_target_series)
+    config = training.TrainConfig(epochs=1, batch_size=2, seed=0)
+    training.train(model, prepared.train[:2 * steps], prepared.val,
+                   prepared.scaler, prepared.target_channel, config)
+
+
+def test_training_keeps_at_most_one_earlier_tape(no_gc, monkeypatch):
+    refs: list = []
+    alive_at_enter: list[int] = []
+
+    class CountingTape(Tape):
+        def __enter__(self):
+            alive_at_enter.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(self))
+            return super().__enter__()
+
+    monkeypatch.setattr(training, "Tape", CountingTape)
+    _train_tiny_grugcn(steps=3)
+    assert len(alive_at_enter) == 3
+    assert max(alive_at_enter) <= 1
+    assert all(r() is None for r in refs)
+
+
+def test_benchmark_tracer_reads_the_tape(no_gc):
+    """The benchmark's tracer counts ``Tape.nodes`` and ``TapeNode.output``
+    bytes and the tapes alive at each step; a layout it cannot read fails here."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    assert tracer.hook_tape("exoforecast.autodiff.Tape")
+    assert tracer.wrap("exoforecast.model.select_stage", "select", count_tape=True)
+    try:
+        _train_tiny_grugcn(steps=3)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == {} and tracer.tape_error is None
+    nodes, nbytes = tracer.tape_per_step("autodiff")
+    assert nodes > tracer.tape_per_step("select")[0] > 0 and nbytes > 0
+    assert tracer.tapes_alive_max <= 1

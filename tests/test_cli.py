@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,16 @@ class TestTrain:
                 (trained_dir / name).read_bytes(), name
 
 
+ARCHIVE_DAMAGE = {
+    "inside-magic": lambda blob: blob[:4],
+    "inside-count": lambda blob: blob[:10],
+    "after-count": lambda blob: blob[:12],
+    "inside-first-tensor": lambda blob: blob[:30],
+    "last-byte-missing": lambda blob: blob[:-1],
+    "trailing-byte": lambda blob: blob + b"\0",
+}
+
+
 class TestEval:
     def test_reproduces_training_metrics(self, trained_dir, tmp_path):
         rc = main(["eval", "--model-dir", str(trained_dir),
@@ -95,6 +106,20 @@ class TestEval:
         rc = main(["eval", "--model-dir", str(tmp_path / "nope")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", sorted(ARCHIVE_DAMAGE))
+    def test_damaged_archive_fails_with_one_line(self, trained_dir, tmp_path,
+                                                 capsys, damage):
+        model_dir = tmp_path / "damaged"
+        shutil.copytree(trained_dir, model_dir)
+        blob = (trained_dir / "model.bin").read_bytes()
+        (model_dir / "model.bin").write_bytes(ARCHIVE_DAMAGE[damage](blob))
+        rc = main(["eval", "--model-dir", str(model_dir),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "model.bin" in err[0]
 
     def test_rollout_horizons(self, trained_dir, tmp_path):
         rc = main(["eval", "--model-dir", str(trained_dir),
