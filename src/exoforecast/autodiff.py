@@ -17,6 +17,8 @@ Memory contract:
   reads ``None``).
 - ``Tape.backward`` releases the adjoint of each intermediate as soon as
   the VJP of the node producing it has consumed it.
+- ``moe_combine`` keeps only its inputs and output on the tape; its VJP
+  recomputes the K expert projections.
 """
 
 from __future__ import annotations
@@ -487,24 +489,84 @@ def absolute(x) -> Tensor:
     return add(relu(x), relu(mul(x, -1.0)))
 
 
-def ordered_sum(tensors: Sequence) -> Tensor:
-    """Element-wise sum of same-shaped tensors in ascending-value order.
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
-    The per-element accumulation order depends only on the multiset of
-    values, so permuting the inputs leaves the result bit-identical.
+
+def _sorted_sum(terms: list) -> np.ndarray:
+    """Element-wise sum of same-shaped arrays, added in ascending-value order.
+
+    Equal to sorting the terms with ``np.sort`` along a new axis and
+    folding left to right, bit for bit, so the result depends on the
+    multiset of values alone, never on their order. ``terms`` is sorted in
+    place by an insertion network of min/max compare-exchanges, reusing
+    one scratch buffer, and folded into ``terms[0]``.
+
+    A compare-exchange of -0 and +0 may return the same zero twice, so the
+    network can flip the sign of a zero. That changes the sum only where
+    every term is zero, and there the fold is -0 exactly when every term is
+    -0; that mask is taken before sorting and restored after.
     """
-    ts = [as_tensor(t) for t in tensors]
-    if len(ts) == 1:
-        return add(ts[0], 0.0)
-    stacked = np.sort(np.stack([t.values for t in ts]), axis=0)
-    out = stacked[0]
-    for i in range(1, len(ts)):
-        out = out + stacked[i]
+    all_neg_zero = terms[0].view(np.int64) == _NEG_ZERO_BITS
+    for t in terms[1:]:
+        all_neg_zero &= t.view(np.int64) == _NEG_ZERO_BITS
+    spare = None
+    for i in range(1, len(terms)):
+        for j in range(i, 0, -1):
+            lo, hi = terms[j - 1], terms[j]
+            spare = np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            terms[j - 1], spare = spare, lo
+    out = terms[0]
+    for t in terms[1:]:
+        out += t
+    out += 0.0
+    out[all_neg_zero] = -0.0
+    return out
 
-    def vjp(g):
-        return tuple(g for _ in ts)
 
-    return _record("ordered-sum", tuple(ts), out, vjp)
+def moe_combine(x_tau, g, experts: Sequence) -> Tensor:
+    """Gated expert mixture ``sum_k g[..., k:k+1] * (x_tau @ W_k)`` as one node.
+
+    The K terms are summed order-canonically (see ``_sorted_sum``), so
+    relabeling the experts together with their gate columns cannot change
+    the output bits. The tape keeps only the inputs and the output: the
+    backward recomputes each projection ``x_tau @ W_k``.
+    """
+    x_tau, g = as_tensor(x_tau), as_tensor(g)
+    ws = [as_tensor(w) for w in experts]
+    xv, gv = x_tau.values, g.values
+    if gv.shape[-1] != len(ws) or gv.shape[:-1] != xv.shape[:-1]:
+        raise ValueError(f"gate shape {gv.shape} does not fit input {xv.shape} "
+                         f"and {len(ws)} experts")
+    terms = []
+    for k, w in enumerate(ws):
+        t = np.matmul(xv, w.values)
+        t *= gv[..., k:k + 1]
+        terms.append(t)
+    out = terms[0] + 0.0 if len(terms) == 1 else _sorted_sum(terms)
+
+    def vjp(G):
+        # The VJPs of the per-expert slice -> matmul -> mul composition this
+        # node replaces, in the order its backward ran them, so every
+        # gradient keeps its bits.
+        xt = np.swapaxes(xv, -1, -2)
+        dx, dg, dws = None, np.empty(gv.shape), []
+        for k in reversed(range(len(ws))):
+            wv = ws[k].values
+            gy = np.matmul(xv, wv)
+            gy *= G
+            dg[..., k:k + 1] = _sum_to_shape(gy, dg.shape[:-1] + (1,))
+            gp = G * gv[..., k:k + 1]
+            ga = np.matmul(gp, np.swapaxes(wv, -1, -2))
+            dx = ga if dx is None else dx + ga
+            dws.append(_sum_to_shape(np.matmul(xt, gp), wv.shape))
+        if len(ws) > 1:
+            dg += 0.0  # as the composition's sum of zero-padded slice adjoints: -0 -> +0
+        return (dx, dg, *dws)
+
+    # Experts enter last to first, as the backward visits them, so a tensor
+    # passed as several experts sums its grads in the composition's order.
+    return _record("moe-combine", (x_tau, g, *ws[::-1]), out, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .data import (
     synth_generate,
 )
 from .graphs import build_graph
-from .model import ExoModel, ModelConfig, load_model, save_model
+from .model import ExoModel, ModelConfig, config_from_dict, load_model, save_model
 from .training import TrainConfig, TrainResult, evaluate, train
 
 METRIC_COLUMNS = ("mae", "rmse", "mape", "mre")
@@ -59,7 +59,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
+        return config_from_dict(cls, d)
 
 
 def write_json(path: Path, payload) -> None:
@@ -86,13 +86,18 @@ def _load_prepared(cfg) -> PreparedData:
     return prepare_splits(load_panel(cfg.data, cfg.schema), cfg.t_past, cfg.t_future)
 
 
+def _ablated(samples: list, layout, run: RunConfig) -> list:
+    """``samples`` with the exogenous groups the run leaves out zeroed."""
+    if run.use_past and run.use_future and run.use_date:
+        return samples
+    return mask_exogenous(samples, layout, run.use_past, run.use_future,
+                          run.use_date)
+
+
 def _masked(prepared: PreparedData, run: RunConfig) -> PreparedData:
     """The run's data-ablation view of ``prepared``, which is left unchanged."""
-    if run.use_past and run.use_future and run.use_date:
-        return prepared
     return dataclasses.replace(prepared, **{
-        name: mask_exogenous(getattr(prepared, name), prepared.layout,
-                             run.use_past, run.use_future, run.use_date)
+        name: _ablated(getattr(prepared, name), prepared.layout, run)
         for name in ("train", "val", "test")})
 
 
@@ -139,8 +144,9 @@ def _evaluate(model, run: RunConfig, prepared: PreparedData, days: int,
     if days == 1:
         samples = prepared.test
     else:
-        samples, _ = make_rollout_windows(prepared.test_panel, run.t_past,
-                                          run.t_future, days)
+        samples, layout = make_rollout_windows(prepared.test_panel, run.t_past,
+                                               run.t_future, days)
+        samples = _ablated(samples, layout, run)
     if corrupt is not None:
         samples = corrupt_exogenous(samples, prepared.layout, corrupt,
                                     corrupt_ratio, corrupt_seed)
@@ -219,9 +225,13 @@ def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
     config_path = model_dir / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"missing model archive: {config_path}")
-    run = RunConfig.from_dict(json.loads(config_path.read_text()))
+    try:
+        run = RunConfig.from_dict(json.loads(config_path.read_text()))
+        model_cfg = ModelConfig.from_dict(run.model)
+    except ValueError as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
     prepared = _masked(_load_prepared(run), run)
-    model = load_model(model_dir / "model.bin", ModelConfig.from_dict(run.model))
+    model = load_model(model_dir / "model.bin", model_cfg)
     return run, model, prepared
 
 

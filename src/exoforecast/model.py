@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,26 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return config_from_dict(cls, d)
+
+
+def config_from_dict(cls, d):
+    """Build dataclass ``cls`` from ``d``, which must name every field exactly.
+
+    An archived config always holds every field, so an unknown or missing
+    key means the file is stale or edited: that is a ``ValueError`` naming
+    the keys, not a ``TypeError`` from the constructor.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    names = {f.name for f in fields(cls)}
+    problems = []
+    for what, keys in (("unknown", d.keys() - names), ("missing", names - d.keys())):
+        if keys:
+            problems.append(f"{what} keys {', '.join(sorted(keys))}")
+    if problems:
+        raise ValueError(f"{cls.__name__} has " + " and ".join(problems))
+    return cls(**d)
 
 
 class ExoModel:

@@ -2,7 +2,10 @@
 
 Endogenous history is projected into an exogenous-conditioned latent space
 (one space per exogenous type), then K expert projections are convexly
-recombined per node and step by a dense softmax gate.
+recombined per node and step by a dense softmax gate. The recombination
+is one fused tape node (``autodiff.moe_combine``): its backward recomputes
+the expert projections, and its order-canonical sum, sorted by a min/max
+network, makes the output invariant to relabeling the experts.
 """
 
 from __future__ import annotations
@@ -126,12 +129,12 @@ def moe_gate(x_tau: Tensor, gate: Tensor) -> Tensor:
 def moe_select(x_tau: Tensor, bank: ExpertBank, g: Tensor) -> Tensor:
     """Convex recombination sum_k g_k * (x W_k) at every node and step.
 
-    Terms are accumulated order-canonically so relabeling the experts
-    (with their gate rows) cannot change the output bits.
+    Records a single ``moe_combine`` tape node, whose backward recomputes
+    the K projections instead of keeping them. The terms are summed in
+    ascending-value order, sorted by a min/max network, so relabeling the
+    experts (with their gate columns) cannot change the output bits.
     """
-    terms = [ad.mul(g[..., k:k + 1], ad.matmul(x_tau, w))
-             for k, w in enumerate(bank.experts)]
-    return ad.ordered_sum(terms)
+    return ad.moe_combine(x_tau, g, bank.experts)
 
 
 def select_stage(x: Tensor, e: Tensor, embed: CondEmbedParams, bank: ExpertBank, *,

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from exoforecast import autodiff as ad
 from exoforecast import training
@@ -355,3 +358,30 @@ def test_benchmark_tracer_reads_the_tape(no_gc):
     nodes, nbytes = tracer.tape_per_step("autodiff")
     assert nodes > tracer.tape_per_step("select")[0] > 0 and nbytes > 0
     assert tracer.tapes_alive_max <= 1
+
+
+_TERM = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308]))
+
+
+@st.composite
+def _term_lists(draw):
+    """1..6 same-shaped finite arrays, rich in ties and signed zeros."""
+    k = draw(st.integers(1, 6))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
+    return [draw(hnp.arrays(np.float64, shape, elements=_TERM)) for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_lists(), st.data())
+def test_sorted_sum_is_np_sort_then_left_fold(terms, data):
+    stacked = np.sort(np.stack(terms), axis=0)
+    with np.errstate(over="ignore"):
+        want = stacked[0]
+        for row in stacked[1:]:
+            want = want + row
+        order = data.draw(st.permutations(range(len(terms))))
+        for permuted in (terms, [terms[i] for i in order]):
+            got = ad._sorted_sum([t.copy() for t in permuted])
+            assert got.tobytes() == want.tobytes()

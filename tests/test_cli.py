@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exoforecast import cli
 from exoforecast.cli import main
-from exoforecast.data import load_panel
+from exoforecast.data import load_panel, prepare_splits
 
 TINY_TRAIN = [
     "--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
@@ -127,6 +128,67 @@ class TestEval:
         assert rc == 0
         rows = json.loads((tmp_path / "metrics.json").read_text())
         assert [r["horizon_days"] for r in rows] == [1, 2]
+
+
+def _stale(config: dict, level: str, change: str) -> None:
+    block = config if level == "run" else config["model"]
+    if change == "extra":
+        block["stale_key"] = 1
+    else:
+        del block["seed"]
+
+
+class TestStaleConfig:
+    @pytest.mark.parametrize("command", ["eval", "corrupt-eval"])
+    @pytest.mark.parametrize("level", ["run", "model"])
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_fails_with_one_line(self, trained_dir, tmp_path, capsys,
+                                 command, level, change):
+        model_dir = tmp_path / "stale"
+        shutil.copytree(trained_dir, model_dir)
+        config = json.loads((model_dir / "config.json").read_text())
+        _stale(config, level, change)
+        (model_dir / "config.json").write_text(json.dumps(config))
+        rc = main([command, "--model-dir", str(model_dir),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "config.json" in err[0]
+        word = "unknown keys stale_key" if change == "extra" else "missing keys seed"
+        assert word in err[0]
+        assert ("ModelConfig" in err[0]) == (level == "model")
+
+
+class TestAblatedRollout:
+    def test_rollout_windows_are_masked(self, synth_dir, tmp_path, monkeypatch):
+        seen = []
+        real_evaluate = cli.evaluate
+
+        def spy(model, samples, *args, days, **kwargs):
+            seen.append((days, samples))
+            return real_evaluate(model, samples, *args, days=days, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", spy)
+        data = ["--data", str(synth_dir / "panel.csv"),
+                "--schema", str(synth_dir / "panel.schema.json")]
+        rc = main(["train", *data, "--out", str(tmp_path), "--seed", "1",
+                   *TINY_TRAIN, "--epochs", "1", "--no-use-past",
+                   "--horizon-days", "2"])
+        assert rc == 0
+        rc = main(["eval", "--model-dir", str(tmp_path),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        panel = load_panel(synth_dir / "panel.csv", synth_dir / "panel.schema.json")
+        layout = prepare_splits(panel, 6, 4).layout
+        past = ~layout.past_is_date
+        assert past.any() and layout.past_is_date.any()
+        assert [days for days, _ in seen] == [1, 2, 1, 2]
+        for _, samples in seen:
+            assert samples
+            for s in samples:
+                assert not s.e_past[:, :, past].any()
+                assert s.e_past[:, :, ~past].any()  # date channels are kept
 
 
 class TestCorruptEval:

@@ -223,3 +223,136 @@ class TestEndToEnd:
         out = select_stage(x, e, embed, bank, pad_side="head", bypass_selector=True)
         np.testing.assert_array_equal(
             out.values, conditional_embed(x, e, embed).values)
+
+
+def composed_moe(x_tau, g, experts):
+    """Reference for ``moe_combine``: the per-expert slice/matmul/mul
+    composition, its terms summed in ``np.sort`` order (3K+1 tape nodes)."""
+    terms = [ad.mul(g[..., k:k + 1], ad.matmul(x_tau, w))
+             for k, w in enumerate(experts)]
+    if len(terms) == 1:
+        return ad.add(terms[0], 0.0)
+    stacked = np.sort(np.stack([t.values for t in terms]), axis=0)
+    out = stacked[0]
+    for row in stacked[1:]:
+        out = out + row
+    return ad._record("ordered-sum", tuple(terms), out,
+                      lambda grad: tuple(grad for _ in terms))
+
+
+def _moe_case(kind, k, seed):
+    """(x_tau, gate, experts, output weights) for one oracle case."""
+    rng = np.random.default_rng(seed)
+    shape, h = (2, 3, 4), 1 if kind == "width-one" else 3
+    x = rng.normal(size=shape + (h,))
+    g = rng.dirichlet(np.ones(k), size=shape)
+    ws = [rng.normal(size=(h, h)) for _ in range(k)]
+    r = rng.normal(size=shape + (h,))
+    if kind == "ties":  # equal gates and duplicate experts: every term ties
+        g = np.full(shape + (k,), 1.0 / k)
+        ws = [ws[0].copy() for _ in range(k)]
+        x[0, 0] = 0.0
+    elif kind == "signed-zeros":  # ±0 terms, ±0 adjoints, some duplicates
+        g[..., 0] = -0.0
+        g[0, ..., -1] = 0.0
+        g[1, 0, 0] = -0.0  # with the zero row of x below: all K terms -0
+        x[1, 1] = -0.0
+        x[0, 0, 0] = x[1, 0, 0] = 0.0  # under r[0, 0] = -0: a -0 gate adjoint
+        for w in ws:
+            w[:, 0] = -0.0
+        ws[-1] = ws[0].copy()
+        r[0, 0] = -0.0
+        r[1, 2] = 0.0
+        r[..., 1] = -0.0
+    elif kind == "width-one":  # a one-term sum over H keeps -0 gate adjoints
+        ws = [np.abs(w) for w in ws]
+        x[0, 0] = 0.0
+        r[0, 0] = -0.0
+    return x, g, ws, r
+
+
+def _run_moe(fn, x, g, ws, r):
+    """Forward value of ``fn`` and the adjoints of sum(r * fn(x, g, ws)).
+
+    Every input passes through a probe node that records the adjoint it
+    receives, so signed zeros are compared before a leaf's ``grad`` sum
+    turns them into +0; the leaf grads are returned as well.
+    """
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in (x, g, *ws)]
+    seen = [None] * len(leaves)
+
+    def probe(i, t):
+        def vjp(adj):
+            seen[i] = adj
+            return (adj,)
+        return ad._record("probe", (t,), t.values, vjp)
+
+    with ad.Tape() as tape:
+        ins = [probe(i, t) for i, t in enumerate(leaves)]
+        out = fn(ins[0], ins[1], ins[2:])
+        loss = ad.reduce_sum(ad.mul(out, Tensor(r)))
+    tape.backward(loss)
+    return out.values, seen + [t.grad for t in leaves]
+
+
+class TestFusedMoe:
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros", "width-one"])
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_composition_bit_for_bit(self, kind, k, seed):
+        case = _moe_case(kind, k, seed)
+        out, grads = _run_moe(ad.moe_combine, *case)
+        want, want_grads = _run_moe(composed_moe, *case)
+        np.testing.assert_array_equal(out, want)
+        assert out.tobytes() == want.tobytes()
+        for got_g, want_g in zip(grads, want_grads):
+            np.testing.assert_array_equal(got_g, want_g)
+            assert got_g.tobytes() == want_g.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_shared_expert_tensor(self, k):
+        x, g, ws, r = _moe_case("random", k, 0)
+        shared = Tensor(ws[0], requires_grad=True)
+        grads = []
+        for fn in (ad.moe_combine, composed_moe):
+            shared.zero_grad()
+            with ad.Tape() as tape:
+                out = fn(Tensor(x), Tensor(g), [shared] * k)
+                loss = ad.reduce_sum(ad.mul(out, Tensor(r)))
+            tape.backward(loss)
+            grads.append(shared.grad.copy())
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradcheck(self, k):
+        x, g, ws, r = _moe_case("random", k, 4)
+        leaves = [Tensor(v) for v in (x, g, *ws)]
+
+        def f():
+            out = ad.moe_combine(leaves[0], leaves[1], leaves[2:])
+            return ad.reduce_sum(ad.mul(out, Tensor(r)))
+
+        assert grad_check(f, leaves, step=1e-5) < 1e-4
+
+    def test_rejects_mismatched_gate(self):
+        x, g, ws, _ = _moe_case("random", 3, 0)
+        with pytest.raises(ValueError, match="gate shape"):
+            ad.moe_combine(Tensor(x), Tensor(g), ws[:2])
+
+    def test_select_stage_records_one_moe_node(self):
+        rng = np.random.default_rng(10)
+        k = 4
+        embed = init_cond_embed(1, 2, 3, rng, keep_prob=1.0)
+        bank = init_expert_bank(3, k, rng)
+        x = Tensor(rng.normal(size=(2, 3, 5, 1)))
+        e = Tensor(rng.normal(size=(2, 3, 5, 2)))
+        ops = {}
+        for bypass in (False, True):
+            with ad.Tape() as tape:
+                select_stage(x, e, embed, bank, pad_side="head",
+                             bypass_selector=bypass)
+            ops[bypass] = [node.op for node in tape.nodes]
+        assert ops[False].count("moe-combine") == 1
+        assert "slice" not in ops[False] and "ordered-sum" not in ops[False]
+        # gate matmul + softmax + the fused mixture, instead of 3K+1 nodes
+        assert len(ops[False]) == len(ops[True]) + 3
