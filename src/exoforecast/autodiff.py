@@ -19,6 +19,10 @@ Memory contract:
   the VJP of the node producing it has consumed it.
 - ``moe_combine`` keeps only its inputs and output on the tape; its VJP
   recomputes the K expert projections.
+- ``gru_gcn_sequence`` keeps nothing per step when no tape records it.
+  Recorded, it keeps ``A x`` and ``s = A x W_s`` for all T steps plus the
+  state h and the gates z, r and candidate c of each step; its VJP
+  recomputes the concatenations ``[s, h]`` and ``[s, r * h]``.
 """
 
 from __future__ import annotations
@@ -158,6 +162,11 @@ class Tape:
         recorded on this tape) lives in a local map and is released as soon
         as the VJP of the node that produced it has consumed it. Leaf
         adjoints are summed over the sweep and added to ``.grad`` at the end.
+
+        A VJP returns one entry per input: ``None``, an array, or a list of
+        arrays that are added to that input's adjoint one at a time, in list
+        order. A fused node uses the list to give the same sums, bit for
+        bit, as the separate nodes it replaces.
         """
         if root.tape is not self:
             raise ValueError("root was not produced on this tape")
@@ -169,17 +178,18 @@ class Tape:
             g_out = adjoint.pop(id(node.output), None)
             if g_out is None:
                 continue
-            for t, g in zip(node.inputs, node.vjp(g_out)):
-                if g is None:
+            for t, gs in zip(node.inputs, node.vjp(g_out)):
+                if gs is None:
                     continue
                 key = id(t)
-                if t._tape is self._ref:
-                    adjoint[key] = adjoint[key] + g if key in adjoint else g
-                elif t.requires_grad:
-                    if key in leaf:
-                        leaf[key][1] = leaf[key][1] + g
-                    else:
-                        leaf[key] = [t, g]
+                for g in gs if type(gs) is list else (gs,):
+                    if t._tape is self._ref:
+                        adjoint[key] = adjoint[key] + g if key in adjoint else g
+                    elif t.requires_grad:
+                        if key in leaf:
+                            leaf[key][1] = leaf[key][1] + g
+                        else:
+                            leaf[key] = [t, g]
         for t, g in leaf.values():
             t.grad = t.grad + g.reshape(t.values.shape)
 
@@ -283,13 +293,21 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
     return _record("leaky-relu", (x,), out, vjp)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: only ``exp(-|v|)`` is taken.
+
+    ``1 / (1 + e)`` where ``v >= 0`` and ``e / (1 + e)`` elsewhere, each
+    branch evaluated as in the textbook masked form, so the bits match it
+    on every finite input.
+    """
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0.0, 1.0 / d, e / d)
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = np.empty_like(x.values)
-    pos = x.values >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.values[pos]))
-    ex = np.exp(x.values[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(x.values)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -567,6 +585,112 @@ def moe_combine(x_tau, g, experts: Sequence) -> Tensor:
     # Experts enter last to first, as the backward visits them, so a tensor
     # passed as several experts sums its grads in the composition's order.
     return _record("moe-combine", (x_tau, g, *ws[::-1]), out, vjp)
+
+
+def gru_gcn_sequence(x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c) -> Tensor:
+    """Graph-convolutional GRU over ``x`` (..., N, T, F), as one node returning h_T.
+
+    From ``h = 0``, each step t computes ``s = A x_t W_s``, gates
+    ``z, r = sigmoid([s, h] W_z + b_z), sigmoid([s, h] W_r + b_r)``, the
+    candidate ``c = tanh([s, r * h] W_c + b_c)`` and
+    ``h <- (1 - z) * h + z * c``. ``A x_t`` and its product with ``W_s`` are
+    taken for all T at once, and z and r come from one product with
+    ``[W_z | W_r]``; both give the per-step products' bits. ``[s, h]`` is
+    never split into two products, which would change them.
+
+    Unrecorded, the loop keeps only the running state. Recorded, it keeps
+    ``A x`` and ``s`` for all steps plus h, z, r and c of each step, and the
+    backward recomputes ``[s, h]`` and ``[s, r * h]``. The backward replays
+    the VJPs of the per-step composition of primitives in their order, from
+    step T-1 down to 0, and hands the tape one contribution per step for
+    ``adj`` and each weight, so every sum keeps its bits.
+    """
+    ins = tuple(as_tensor(t) for t in (x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c))
+    x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c = ins
+    xv, av, wsv = x.values, adj.values, w_s.values
+    steps, width, hid = xv.shape[-2], wsv.shape[-1], w_z.values.shape[-1]
+    flat = xv.shape[:-2] + (steps * xv.shape[-1],)
+    ax = np.matmul(av, xv.reshape(flat)).reshape(xv.shape)
+    s = np.matmul(ax.reshape(-1, xv.shape[-1]), wsv).reshape(xv.shape[:-1] + (width,))
+    w_zr = np.concatenate([w_z.values, w_r.values], axis=-1)
+    b_zr = np.concatenate([b_z.values, b_r.values])
+    tape = _active_tape()
+    recording = tape is not None and any(_tracked(t, tape) for t in ins)
+    if not recording:
+        ax = None
+    h = np.zeros(xv.shape[:-2] + (hid,))
+    hs, zrs, cs = [], [], []
+    for t in range(steps):
+        s_t = s[..., t, :]
+        zr = _sigmoid(np.matmul(np.concatenate([s_t, h], axis=-1), w_zr) + b_zr)
+        z, r = zr[..., :hid], zr[..., hid:]
+        c = np.tanh(np.matmul(np.concatenate([s_t, r * h], axis=-1), w_c.values)
+                    + b_c.values)
+        if recording:
+            hs.append(h)
+            zrs.append(zr)
+            cs.append(c)
+        h = (1.0 - z) * h + z * c
+    if not recording:
+        return Tensor(h)
+    need_x, need_adj = _tracked(x, tape), _tracked(adj, tape)
+
+    def vjp(g_h):
+        wzt, wrt, wct, wst = (np.swapaxes(w.values, -1, -2)
+                              for w in (w_z, w_r, w_c, w_s))
+        ds = np.empty(s.shape)
+        d_ws, d_wz, d_bz, d_wr, d_br, d_wc, d_bc = ([] for _ in range(7))
+        dh = g_h
+        for t in reversed(range(steps)):
+            h, zr, c, s_t = hs[t], zrs[t], cs[t], s[..., t, :]
+            z, r = zr[..., :hid], zr[..., hid:]
+            # h' = (1 - z) * h + z * c
+            d_zr = np.empty(zr.shape)
+            dz = np.multiply(dh, c, out=d_zr[..., :hid])
+            dz += -(dh * h)
+            dc = dh * z
+            dh_prev = dh * (1.0 - z)
+            # c = tanh([s, r * h] W_c + b_c)
+            dc = dc * (1.0 - c * c)
+            d_bc.append(_sum_to_shape(dc, b_c.values.shape))
+            d_cat_r = np.matmul(dc, wct)
+            cat_r = np.concatenate([s_t, r * h], axis=-1)
+            d_wc.append(_sum_to_shape(np.matmul(np.swapaxes(cat_r, -1, -2), dc),
+                                      w_c.values.shape))
+            d_rh = d_cat_r[..., width:]
+            np.multiply(d_rh, h, out=d_zr[..., hid:])
+            dh_prev = dh_prev + d_rh * r
+            # [z | r] = sigmoid([s, h] [W_z | W_r] + [b_z | b_r])
+            d_zr = d_zr * zr * (1.0 - zr)
+            d_b = _sum_to_shape(d_zr, b_zr.shape)
+            d_bz.append(d_b[:hid])
+            d_br.append(d_b[hid:])
+            cat = np.concatenate([s_t, h], axis=-1)
+            d_w = _sum_to_shape(np.matmul(np.swapaxes(cat, -1, -2), d_zr), w_zr.shape)
+            d_wz.append(d_w[..., :hid])
+            d_wr.append(d_w[..., hid:])
+            d_cat = np.matmul(d_zr[..., hid:], wrt)
+            d_cat = d_cat + np.matmul(d_zr[..., :hid], wzt)
+            ds[..., t, :] = d_cat_r[..., :width] + d_cat[..., :width]
+            dh = dh_prev + d_cat[..., width:]
+        for t in reversed(range(steps)):  # s_t = (A x_t) W_s
+            d_ws.append(_sum_to_shape(
+                np.matmul(np.swapaxes(ax[..., t, :], -1, -2), ds[..., t, :]), wsv.shape))
+        dx = d_adj = None
+        if need_x or need_adj:
+            dax = np.matmul(ds.reshape(-1, width), wst).reshape(xv.shape)
+        if need_adj:
+            d_adj = [_sum_to_shape(np.matmul(dax[..., t, :],
+                                             np.swapaxes(xv[..., t, :], -1, -2)),
+                                   av.shape)
+                     for t in reversed(range(steps))]
+        if need_x:
+            dx = np.matmul(np.swapaxes(av, -1, -2), dax.reshape(flat)).reshape(xv.shape)
+            if steps > 1:
+                dx += 0.0  # as the sum of zero-padded slice adjoints: -0 -> +0
+        return dx, d_adj, d_ws, d_wz, d_bz, d_wr, d_br, d_wc, d_bc
+
+    return _record("gru-gcn-sequence", ins, h, vjp)
 
 
 # ---------------------------------------------------------------------------

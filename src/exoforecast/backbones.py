@@ -4,6 +4,9 @@ Two desk-scale kinds: a graph-convolutional recurrent encoder (``grugcn``)
 and a graph-free per-node MLP over the flattened window (``mlp-mixer``).
 Both share a two-stage readout whose penultimate features (N, T_f, H) are
 exposed for the attention fusion strategy.
+
+The whole ``grugcn`` recurrence is one ``autodiff.gru_gcn_sequence`` tape
+node, so a branch records that node plus the five readout nodes.
 """
 
 from __future__ import annotations
@@ -133,28 +136,11 @@ def apply_readout(features: Tensor, readout: ReadoutParams, t_future: int,
     return y, penult
 
 
-def grugcn_step(h: Tensor, x_t: Tensor, adj: Tensor, params: GruGcnParams) -> Tensor:
-    """One gated-recurrent update on the spatially mixed input.
-
-    s_t = A x_t W_s, gates computed on [s_t, h], candidate with tanh,
-    h_next = (1 - z) * h + z * candidate.
-    """
-    s = ad.matmul(ad.matmul(adj, x_t), params.w_s)
-    cat = ad.concat([s, h], axis=-1)
-    z = ad.sigmoid(ad.add(ad.matmul(cat, params.w_z), params.b_z))
-    r = ad.sigmoid(ad.add(ad.matmul(cat, params.w_r), params.b_r))
-    cat_r = ad.concat([s, ad.mul(r, h)], axis=-1)
-    c = ad.tanh(ad.add(ad.matmul(cat_r, params.w_c), params.b_c))
-    return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
-
-
 def grugcn_forward(x: Tensor, adj: Tensor, params: GruGcnParams,
                    spec: BackboneSpec) -> tuple[Tensor, Tensor]:
     """Run the recurrence over time and read out from the last hidden state."""
-    t_in = x.shape[-2]
-    h = Tensor(np.zeros(x.shape[:-2] + (x.shape[-1],)))
-    for t in range(t_in):
-        h = grugcn_step(h, x[..., t, :], adj, params)
+    h = ad.gru_gcn_sequence(x, adj, params.w_s, params.w_z, params.b_z,
+                            params.w_r, params.b_r, params.w_c, params.b_c)
     return apply_readout(h, params.readout, spec.t_future, spec.hidden)
 
 

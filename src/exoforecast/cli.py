@@ -19,6 +19,7 @@ import numpy as np
 from .data import (
     PreparedData,
     SynthConfig,
+    check_rollout_length,
     corrupt_exogenous,
     load_panel,
     make_rollout_windows,
@@ -84,6 +85,14 @@ def format_table(rows: list[dict], columns: list[str]) -> str:
 def _load_prepared(cfg) -> PreparedData:
     """Load and prepare the panel named by ``cfg`` (parsed args or a RunConfig)."""
     return prepare_splits(load_panel(cfg.data, cfg.schema), cfg.t_past, cfg.t_future)
+
+
+def _check_horizons(prepared: PreparedData, days) -> None:
+    """Fail before any training or forecasting unless the test split holds a
+    rollout of each length in ``days``."""
+    for d in days:
+        check_rollout_length(prepared.test_panel, prepared.t_past,
+                             prepared.t_future, d)
 
 
 def _ablated(samples: list, layout, run: RunConfig) -> list:
@@ -208,6 +217,7 @@ def _build_run(args, prepared: PreparedData) -> RunConfig:
 
 def cmd_train(args) -> int:
     prepared = _load_prepared(args)
+    _check_horizons(prepared, range(1, args.horizon_days + 1))
     run = _build_run(args, prepared)
     prepared = _masked(prepared, run)
     model, result = _train_once(run, prepared)
@@ -239,6 +249,7 @@ def cmd_eval(args) -> int:
     model_dir = Path(args.model_dir)
     run, model, prepared = _load_run(model_dir)
     days = args.horizon_days or run.horizon_days
+    _check_horizons(prepared, range(1, days + 1))
     rows = [_evaluate(model, run, prepared, d,
                       corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio,
                       corrupt_seed=args.corrupt_seed)
@@ -262,6 +273,7 @@ _DATA_ABLATIONS = [  # the seven past/future/date input combinations
 def cmd_ablate(args) -> int:
     rows = []
     prepared = _load_prepared(args)
+    _check_horizons(prepared, [args.horizon_days])
 
     def one(label: str, *, use_past=True, use_future=True, use_date=True,
             fusion="context", no_selector=False, no_balancer=False):

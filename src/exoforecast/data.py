@@ -118,7 +118,11 @@ def save_schema(roles: dict[str, VariableRole], path) -> None:
 
 
 def load_panel(path, schema_path) -> Panel:
-    """Load a `node_id,timestamp,var...` delimited file plus its descriptor."""
+    """Load a `node_id,timestamp,var...` delimited file plus its descriptor.
+
+    An empty cell (or ``nan``) is a missing value; an infinite one is an
+    error naming the file and line.
+    """
     roles = load_schema(schema_path)
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -148,9 +152,12 @@ def load_panel(path, schema_path) -> Panel:
                     row[j] = np.nan
                 else:
                     try:
-                        row[j] = float(cell)
+                        value = float(cell)
                     except ValueError as exc:
                         raise ValueError(f"{path}:{lineno}: bad value {cell!r}") from exc
+                    if math.isinf(value):
+                        raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+                    row[j] = value
             if node not in per_node:
                 per_node[node] = []
                 order.append(node)
@@ -361,6 +368,15 @@ def make_windows(panel: Panel, t_past: int, t_future: int,
     return samples, layout
 
 
+def check_rollout_length(panel: Panel, t_past: int, t_future: int, days: int) -> None:
+    """Raise unless ``panel`` holds at least one ``days``-day rollout window."""
+    if days < 1:
+        raise ValueError("days must be >= 1")
+    if panel.n_steps < t_past + days * t_future:
+        raise ValueError(
+            f"segment length {panel.n_steps} too short for a {days}-day rollout")
+
+
 def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
                          stride: int = 1) -> tuple[list[WindowSample], FeatureLayout]:
     """Windows for multi-day rollout: exogenous blocks extended over all days.
@@ -369,12 +385,8 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
     read the true past-exogenous values that have become observable by then;
     e_future and y cover the full days*t_future horizon.
     """
-    if days < 1:
-        raise ValueError("days must be >= 1")
+    check_rollout_length(panel, t_past, t_future, days)
     total_future = days * t_future
-    if panel.n_steps < t_past + total_future:
-        raise ValueError(
-            f"segment length {panel.n_steps} too short for a {days}-day rollout")
     tgt = panel.target_index
     past_idx = panel.indices_for(VariableRole.PAST)
     fut_idx = panel.indices_for(VariableRole.FUTURE)

@@ -385,3 +385,60 @@ def test_sorted_sum_is_np_sort_then_left_fold(terms, data):
         for permuted in (terms, [terms[i] for i in order]):
             got = ad._sorted_sum([t.copy() for t in permuted])
             assert got.tobytes() == want.tobytes()
+
+
+def _masked_sigmoid(v):
+    """The sigmoid as it was first written: boolean-mask indexing per sign."""
+    out = np.empty_like(v)
+    pos = v >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ex = np.exp(v[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_LOGIT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0,
+                     36.7, -36.7, 1e-300, -1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                  elements=_LOGIT))
+def test_sigmoid_equals_masked_form_bit_for_bit(v):
+    with np.errstate(over="ignore"):
+        want = _masked_sigmoid(v)
+    assert ad._sigmoid(v).tobytes() == want.tobytes()
+    assert ad.sigmoid(Tensor(v)).values.tobytes() == want.tobytes()
+
+
+def test_listed_contributions_match_separate_nodes():
+    """A VJP that returns a list per input adds its entries one at a time,
+    in list order, exactly as separate nodes returning one entry each do."""
+    parts = [1.0, 1e16, -1e16]  # (a + 1) + 1e16 - 1e16 != a + (1 + 1e16 - 1e16)
+
+    def run(listed: bool):
+        w = Tensor(np.full(2, 0.5), requires_grad=True)
+        v = Tensor(np.full(2, 0.25), requires_grad=True)
+        with Tape() as tape:
+            u = ad.mul(v, 1.0)  # an intermediate, so its adjoint is summed too
+            if listed:
+                outs = [ad._record("listed", (u, w), np.zeros(2), lambda g: (
+                    [p * g for p in parts], [p * g for p in parts]))]
+            else:  # recorded last to first, so the sweep meets parts in order
+                outs = [ad._record("single", (u, w), np.zeros(2),
+                                   lambda g, p=p: (p * g, p * g))
+                        for p in reversed(parts)]
+            # recorded after the parts, so both sums already hold a term
+            total = ad.reduce_sum(ad.mul(u, w))
+            for out in outs:
+                total = ad.add(total, ad.reduce_sum(out))
+        tape.backward(total)
+        return w.grad, v.grad
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+    w_grad, v_grad = run(True)
+    assert w_grad[0] == ((0.25 + 1.0) + 1e16) - 1e16 != 0.25 + 1.0
+    assert v_grad[0] == ((0.5 + 1.0) + 1e16) - 1e16 != 0.5 + 1.0

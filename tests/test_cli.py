@@ -130,6 +130,59 @@ class TestEval:
         assert [r["horizon_days"] for r in rows] == [1, 2]
 
 
+class TestHorizonTooLong:
+    """A rollout the test split cannot hold fails before any work, with one
+    ``error:`` line and no output written."""
+
+    @pytest.fixture(scope="class")
+    def short_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("short")
+        # 100 steps leave a 10-step test split: one 6+4 window, no 2-day rollout
+        assert main(["synth", "--out", str(out), "--nodes", "2", "--steps", "100",
+                     "--seed", "3"]) == 0
+        return out
+
+    @staticmethod
+    def _refuse_work(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the horizon check")
+        for name in ("train", "evaluate"):
+            monkeypatch.setattr(cli, name, fail)
+
+    def _one_error(self, capsys, days: int) -> None:
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: segment length 10 too short for a {days}-day rollout"]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_train_and_ablate(self, short_dir, tmp_path, capsys, monkeypatch,
+                              command):
+        self._refuse_work(monkeypatch)
+        out = tmp_path / "out"
+        rc = main([command, "--data", str(short_dir / "panel.csv"),
+                   "--schema", str(short_dir / "panel.schema.json"),
+                   "--out", str(out), "--horizon-days", "2", *TINY_TRAIN])
+        assert rc == 1
+        self._one_error(capsys, 2)
+        assert not out.exists()
+
+    # corrupt-eval scores one horizon, so building its windows is the check
+    @pytest.mark.parametrize("command", ["eval", "corrupt-eval"])
+    def test_eval_and_corrupt_eval(self, short_dir, tmp_path, capsys,
+                                   monkeypatch, command):
+        model_dir = tmp_path / "run"
+        assert main(["train", "--data", str(short_dir / "panel.csv"),
+                     "--schema", str(short_dir / "panel.schema.json"),
+                     "--out", str(model_dir), *TINY_TRAIN]) == 0
+        capsys.readouterr()
+        self._refuse_work(monkeypatch)
+        out = tmp_path / "out"
+        rc = main([command, "--model-dir", str(model_dir), "--out", str(out),
+                   "--horizon-days", "3"])
+        assert rc == 1
+        self._one_error(capsys, 2 if command == "eval" else 3)
+        assert not out.exists()
+
+
 def _stale(config: dict, level: str, change: str) -> None:
     block = config if level == "run" else config["model"]
     if change == "extra":

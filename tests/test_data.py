@@ -96,6 +96,15 @@ class TestLoadPanel:
         panel = load_panel(csv, schema)
         assert panel.mask is not None and not panel.mask[0, 0, 1]
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+    def test_infinite_cell_rejected(self, tmp_path, cell):
+        rows = ("n0,2019-01-01T00:00:00,1.0,\n"
+                f"n0,2019-01-01T01:00:00,2.0,{cell}\n")
+        csv, schema = self.write(tmp_path, rows)
+        with pytest.raises(ValueError) as info:
+            load_panel(csv, schema)
+        assert str(info.value) == f"{csv}:3: non-finite value {cell!r}"
+
     def test_madrid_scale_shape_echo(self, tmp_path):
         # 4344 hourly frames, 20 variables
         variables = ["no2"] + [f"v{i}" for i in range(19)]
