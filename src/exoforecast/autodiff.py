@@ -686,8 +686,6 @@ def gru_gcn_sequence(x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c) -> Tensor:
                      for t in reversed(range(steps))]
         if need_x:
             dx = np.matmul(np.swapaxes(av, -1, -2), dax.reshape(flat)).reshape(xv.shape)
-            if steps > 1:
-                dx += 0.0  # as the sum of zero-padded slice adjoints: -0 -> +0
         return dx, d_adj, d_ws, d_wz, d_bz, d_wr, d_br, d_wc, d_bc
 
     return _record("gru-gcn-sequence", ins, h, vjp)

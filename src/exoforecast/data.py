@@ -3,6 +3,10 @@
 A panel is an N-node x T-step x F-variable observation block. Every variable
 carries a role (target / past / future / date); date channels are always
 synthesized from timestamps, never ingested from files.
+
+Windows copy nothing per window: each split's target, past+date and
+future+date channels are copied once into read-only blocks, and every
+``WindowSample`` field is a basic-slice view of one of them.
 """
 
 from __future__ import annotations
@@ -246,18 +250,10 @@ def fill_missing(panel: Panel) -> Panel:
     """Forward-fill holes along time, then zero anything left at the head."""
     if panel.mask is None:
         return panel
-    data = panel.data.copy()
-    n, t, f = data.shape
-    for i in range(n):
-        for j in range(f):
-            col = data[i, :, j]
-            obs = panel.mask[i, :, j]
-            last = 0.0
-            for s in range(t):
-                if obs[s]:
-                    last = col[s]
-                else:
-                    col[s] = last
+    steps = np.arange(panel.n_steps)[None, :, None]
+    last = np.maximum.accumulate(np.where(panel.mask, steps, -1), axis=1)
+    data = np.take_along_axis(panel.data, np.maximum(last, 0), axis=1)
+    data[last < 0] = 0.0
     return replace(panel, data=data, mask=None)
 
 
@@ -336,12 +332,13 @@ class WindowSample:
     offset: int = 0
 
 
-def make_windows(panel: Panel, t_past: int, t_future: int,
-                 stride: int = 1) -> tuple[list[WindowSample], FeatureLayout]:
-    """Cut sliding windows; E_future spans exactly the target horizon."""
-    if panel.n_steps < t_past + t_future:
-        raise ValueError(
-            f"segment length {panel.n_steps} shorter than {t_past}+{t_future}")
+def _window(panel: Panel, t_past: int, t_future: int, hist_span: int,
+            stride: int) -> tuple[list[WindowSample], FeatureLayout]:
+    """Windows whose history spans ``hist_span`` steps and horizon ``t_future``.
+
+    The target, past+date and future+date channels are each copied once into
+    a read-only (N, T, C) block; every window field is a basic slice of one.
+    """
     tgt = panel.target_index
     past_idx = panel.indices_for(VariableRole.PAST)
     fut_idx = panel.indices_for(VariableRole.FUTURE)
@@ -354,18 +351,34 @@ def make_windows(panel: Panel, t_past: int, t_future: int,
         past_is_date=np.array([False] * len(past_idx) + [True] * len(date_idx)),
         future_is_date=np.array([False] * len(fut_idx) + [True] * len(date_idx)),
     )
+    target, past, future = (np.take(panel.data, cols, axis=2)
+                            for cols in ([tgt], past_idx + date_idx, fut_idx + date_idx))
+    for block in (target, past, future):
+        block.flags.writeable = False
     samples = []
     for o in range(0, panel.n_steps - t_past - t_future + 1, stride):
-        hist = slice(o, o + t_past)
         horizon = slice(o + t_past, o + t_past + t_future)
         samples.append(WindowSample(
-            x=panel.data[:, hist, [tgt]],
-            e_past=panel.data[:, hist, :][:, :, past_idx + date_idx],
-            e_future=panel.data[:, horizon, :][:, :, fut_idx + date_idx],
-            y=panel.data[:, horizon, [tgt]],
+            x=target[:, o:o + t_past],
+            e_past=past[:, o:o + hist_span],
+            e_future=future[:, horizon],
+            y=target[:, horizon],
             offset=o,
         ))
     return samples, layout
+
+
+def make_windows(panel: Panel, t_past: int, t_future: int,
+                 stride: int = 1) -> tuple[list[WindowSample], FeatureLayout]:
+    """Cut sliding windows; E_future spans exactly the target horizon.
+
+    Windows are read-only views into per-split blocks, not copies: callers
+    that change a window's values copy it first.
+    """
+    if panel.n_steps < t_past + t_future:
+        raise ValueError(
+            f"segment length {panel.n_steps} shorter than {t_past}+{t_future}")
+    return _window(panel, t_past, t_future, t_past, stride)
 
 
 def check_rollout_length(panel: Panel, t_past: int, t_future: int, days: int) -> None:
@@ -383,33 +396,12 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
 
     e_past covers [o, o + t_past + (days-1)*t_future) so each rolled day can
     read the true past-exogenous values that have become observable by then;
-    e_future and y cover the full days*t_future horizon.
+    e_future and y cover the full days*t_future horizon. Like
+    ``make_windows``, every field is a read-only view.
     """
     check_rollout_length(panel, t_past, t_future, days)
-    total_future = days * t_future
-    tgt = panel.target_index
-    past_idx = panel.indices_for(VariableRole.PAST)
-    fut_idx = panel.indices_for(VariableRole.FUTURE)
-    date_idx = panel.indices_for(VariableRole.DATE)
-    names = panel.variables
-    layout = FeatureLayout(
-        endo=[names[tgt]],
-        past=[names[i] for i in past_idx + date_idx],
-        future=[names[i] for i in fut_idx + date_idx],
-        past_is_date=np.array([False] * len(past_idx) + [True] * len(date_idx)),
-        future_is_date=np.array([False] * len(fut_idx) + [True] * len(date_idx)),
-    )
-    samples = []
-    hist_span = t_past + (days - 1) * t_future
-    for o in range(0, panel.n_steps - t_past - total_future + 1, stride):
-        samples.append(WindowSample(
-            x=panel.data[:, o:o + t_past, [tgt]],
-            e_past=panel.data[:, o:o + hist_span, :][:, :, past_idx + date_idx],
-            e_future=panel.data[:, o + t_past:o + t_past + total_future, :][:, :, fut_idx + date_idx],
-            y=panel.data[:, o + t_past:o + t_past + total_future, [tgt]],
-            offset=o,
-        ))
-    return samples, layout
+    return _window(panel, t_past, days * t_future,
+                   t_past + (days - 1) * t_future, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +471,12 @@ def mask_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
 
 @dataclass
 class PreparedData:
-    """Scaled chronological splits plus their windows and bookkeeping."""
+    """Scaled chronological splits plus their windows and bookkeeping.
+
+    ``train``, ``val`` and ``test`` are read-only views into one set of
+    blocks per split (see ``make_windows``): their memory grows with the
+    split's length, not with its number of windows.
+    """
 
     train: list[WindowSample]
     val: list[WindowSample]

@@ -36,6 +36,7 @@ from .selector import (
 )
 
 ARCHIVE_MAGIC = b"EXOF0001"
+PREDICT_CHUNK = 2 ** 18  # N * T * H elements one forecast chunk may span
 
 
 @dataclass
@@ -219,9 +220,23 @@ class ExoModel:
         return ad.add(ad.mul(out_p, 0.5), ad.mul(out_f, 0.5)), None
 
     def predict(self, x, e_past, e_future) -> np.ndarray:
-        """Eval-mode forward returning plain values."""
-        y_hat, _ = self.forward(x, e_past, e_future, train=False)
-        return y_hat.values
+        """Eval-mode forward returning plain values.
+
+        A batched (B, N, T, F) input runs through ``forward`` in consecutive
+        slices of at most ``max(1, PREDICT_CHUNK // (N * T * H))`` windows,
+        T the longer of the past and future lengths. That is 7 windows at
+        N = T = 24, H = 64, where a chunk's (N, T, H) activation takes 2 MiB.
+        No eval-mode forecast depends on the other windows of its batch, so
+        the concatenated slices equal one whole-batch forward bit for bit.
+        """
+        n, t = np.shape(x)[-3], max(np.shape(x)[-2], np.shape(e_future)[-2])
+        chunk = max(1, PREDICT_CHUNK // (n * t * self.config.hidden))
+        if np.ndim(x) < 4 or len(x) <= chunk:
+            return self.forward(x, e_past, e_future)[0].values
+        return np.concatenate([
+            self.forward(x[lo:lo + chunk], e_past[lo:lo + chunk],
+                         e_future[lo:lo + chunk])[0].values
+            for lo in range(0, len(x), chunk)])
 
 
 # ---------------------------------------------------------------------------

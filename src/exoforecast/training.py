@@ -174,7 +174,6 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
     if not train_samples:
         raise ValueError("no training samples")
     rng = np.random.default_rng(config.seed)
-    x_all, ep_all, ef_all, y_all = stack_samples(train_samples)
     xv, epv, efv, yv = stack_samples(val_samples)
     yv_true = scaler.inverse_channel(yv, target_channel)
     n = len(train_samples)
@@ -192,12 +191,12 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, n, batch):
-            sel = order[lo:lo + batch]
+            x, e_p, e_f, y = stack_samples(
+                [train_samples[i] for i in order[lo:lo + batch]])
             model.zero_grad()
             with Tape() as tape:
-                pred, _ = model.forward(x_all[sel], ep_all[sel], ef_all[sel],
-                                        train=True, rng=rng)
-                loss = _loss_tensor(pred, y_all[sel], config.loss)
+                pred, _ = model.forward(x, e_p, e_f, train=True, rng=rng)
+                loss = _loss_tensor(pred, y, config.loss)
             loss_val = float(loss.values)
             if not math.isfinite(loss_val):
                 raise FloatingPointError(

@@ -1,0 +1,87 @@
+"""The benchmark's span tracer patches program entry points by dotted name.
+
+``perfbench/child.py`` is read as text, never imported: a renamed or
+dropped entry point must fail here, not show up as a metric whose value is
+``null`` in a traced benchmark run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from exoforecast.data import SynthConfig, prepare_splits, synth_generate
+
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+NAMES = ("SPANS", "TAPE_CLASS", "PREDICT", "EVALUATE", "ADAMW")
+
+
+def _child_module() -> ast.Module:
+    return ast.parse(CHILD.read_text(), filename=str(CHILD))
+
+
+def _constants() -> dict:
+    """The literal module-level assignments of ``NAMES`` in child.py."""
+    found = {}
+    for node in _child_module().body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in NAMES:
+                found[target.id] = ast.literal_eval(node.value)
+    return found
+
+
+def _resolve(path: str):
+    """The object at ``path``: the longest importable module prefix, then a
+    ``getattr`` chain, as the tracer resolves it."""
+    parts = path.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            owner = getattr(owner, name)
+        return owner
+    raise ImportError(f"no importable module in {path}")
+
+
+def _entry_points() -> list[str]:
+    consts = _constants()
+    tape = consts.get("TAPE_CLASS")
+    return ([path for _, path, _ in consts.get("SPANS", ())]
+            + ([tape + ".__enter__", tape + ".__exit__"] if tape else [])
+            + [consts[name] for name in ("PREDICT", "EVALUATE", "ADAMW")
+               if name in consts])
+
+
+def _imported_names() -> list[str]:
+    """``module.name`` for every ``from exoforecast... import name`` in child.py."""
+    return [f"{node.module}.{alias.name}" for node in ast.walk(_child_module())
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "exoforecast"
+            for alias in node.names]
+
+
+def test_child_names_its_entry_points():
+    consts = _constants()
+    assert sorted(consts) == sorted(NAMES)
+    assert len(consts["SPANS"]) > 0
+
+
+@pytest.mark.parametrize("path", _entry_points())
+def test_traced_entry_point_resolves(path):
+    assert callable(_resolve(path))
+
+
+@pytest.mark.parametrize("path", _imported_names())
+def test_imported_name_resolves(path):
+    _resolve(path)
+
+
+def test_prepared_data_keeps_the_split_attributes():
+    """The window-bytes probe reads these three attributes of the result."""
+    prepared = prepare_splits(synth_generate(SynthConfig(nodes=2, steps=120)), 6, 4)
+    for split in ("train", "val", "test"):
+        assert len(getattr(prepared, split)) > 0

@@ -21,6 +21,7 @@ from exoforecast.data import (
     load_panel,
     make_rollout_windows,
     make_windows,
+    prepare_splits,
     save_panel,
     synth_generate,
 )
@@ -419,3 +420,134 @@ class TestFillMissing:
         assert filled.mask is None
         assert filled.data[0, 0, 1] == 0.0                       # head hole -> zero
         assert filled.data[0, 2, 1] == filled.data[0, 1, 1]      # interior -> ffill
+
+
+def _owner(a):
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _copied_windows(panel, t_past, t_future, hist_span, stride=1):
+    """(x, e_past, e_future, y) of every window as fancy-indexed copies."""
+    tgt = panel.target_index
+    date = panel.indices_for(VariableRole.DATE)
+    past = panel.indices_for(VariableRole.PAST) + date
+    fut = panel.indices_for(VariableRole.FUTURE) + date
+    out = []
+    for o in range(0, panel.n_steps - t_past - t_future + 1, stride):
+        horizon = slice(o + t_past, o + t_past + t_future)
+        out.append((panel.data[:, o:o + t_past, [tgt]],
+                    panel.data[:, o:o + hist_span, :][:, :, past],
+                    panel.data[:, horizon, :][:, :, fut],
+                    panel.data[:, horizon, [tgt]]))
+    return out
+
+
+FIELDS = ("x", "e_past", "e_future", "y")
+
+
+class TestWindowViews:
+    def test_split_windows_are_views_of_one_block_set(self):
+        prepared = prepare_splits(synth_generate(SynthConfig(nodes=3, steps=200)), 8, 4)
+        widths = 1 + len(prepared.layout.past) + len(prepared.layout.future)
+        for name in ("train", "val", "test"):
+            samples = getattr(prepared, name)
+            panel = getattr(prepared, f"{name}_panel")
+            first = samples[0]
+            for s in samples:
+                for field, block in zip(FIELDS, (first.x, first.e_past,
+                                                 first.e_future, first.x)):
+                    arr = getattr(s, field)
+                    assert arr.base is not None
+                    assert np.shares_memory(arr, _owner(block))
+            owners = {id(_owner(getattr(s, f))): _owner(getattr(s, f)).nbytes
+                      for s in samples for f in FIELDS}
+            assert len(owners) == 3
+            assert sum(owners.values()) <= panel.n_nodes * panel.n_steps * widths * 8
+
+    @pytest.mark.parametrize("days", [1, 3])
+    def test_windows_are_read_only(self, days):
+        panel = add_date_channels(tiny_panel(t=40, seed=2))
+        samples, _ = make_rollout_windows(panel, 8, 4, days=days)
+        for s in samples[:3]:
+            for field in FIELDS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(s, field)[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(panel.data, add_date_channels(
+            tiny_panel(t=40, seed=2)).data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=20, max_value=60), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3))
+    def test_views_equal_copies_by_bytes(self, t, stride, days):
+        panel = add_date_channels(tiny_panel(t=t, seed=t))
+        t_past, t_future = 6, 4
+        if days == 1:
+            samples, _ = make_windows(panel, t_past, t_future, stride=stride)
+        else:
+            samples, _ = make_rollout_windows(panel, t_past, t_future, days, stride=stride)
+        expected = _copied_windows(panel, t_past, days * t_future,
+                                   t_past + (days - 1) * t_future, stride)
+        assert len(samples) == len(expected)
+        for s, want in zip(samples, expected):
+            for field, w in zip(FIELDS, want):
+                got = getattr(s, field)
+                assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+
+def fill_missing_oracle(panel):
+    """Forward-fill by scalar loops: the last observed value, +0.0 before any."""
+    data = panel.data.copy()
+    n, t, f = data.shape
+    for i in range(n):
+        for j in range(f):
+            col = data[i, :, j]
+            obs = panel.mask[i, :, j]
+            last = 0.0
+            for s in range(t):
+                if obs[s]:
+                    last = col[s]
+                else:
+                    col[s] = last
+    return data
+
+
+@st.composite
+def holed_panels(draw):
+    n = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    panel = tiny_panel(n=n, t=t, seed=seed)
+    mask = rng.random(panel.data.shape) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+    lead = draw(st.integers(0, t))
+    mask[:, :lead, rng.integers(3)] = False          # leading hole
+    if draw(st.booleans()):
+        mask[rng.integers(n), :, rng.integers(3)] = False   # an all-missing column
+    data = panel.data
+    data[rng.random(data.shape) < 0.1] *= -0.0        # signed zeros among the values
+    data[~mask] = np.nan
+    return Panel(panel.node_ids, panel.timestamps, panel.variables, panel.roles,
+                 data, mask=mask)
+
+
+class TestFillMissingVectorized:
+    @settings(max_examples=200, deadline=None)
+    @given(holed_panels())
+    def test_matches_loop_oracle_by_bytes(self, panel):
+        filled = fill_missing(panel)
+        assert filled.mask is None
+        assert filled.data.tobytes() == fill_missing_oracle(panel).tobytes()
+
+    def test_head_holes_are_positive_zero(self):
+        panel = tiny_panel(t=5)
+        mask = np.ones(panel.data.shape, bool)
+        mask[0, :3, 1] = False
+        mask[1, :, 2] = False
+        panel.data[~mask] = np.nan
+        filled = fill_missing(Panel(panel.node_ids, panel.timestamps, panel.variables,
+                                    panel.roles, panel.data, mask=mask))
+        head = np.concatenate([filled.data[0, :3, 1], filled.data[1, :, 2]])
+        assert (head == 0.0).all() and not np.signbit(head).any()

@@ -1,11 +1,13 @@
 """Tests for the assembled forecasting model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from exoforecast import autodiff as ad
+from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.model import ExoModel, ModelConfig, load_model, load_tensors, save_model, save_tensors
 
@@ -302,3 +304,77 @@ class TestArchive:
         save_model(tmp_path / "m.bin", ExoModel(cfg))
         with pytest.raises(ValueError, match="mismatch"):
             load_model(tmp_path / "m.bin", tiny_config(hidden=3))
+
+
+FUSIONS = ["context", "simple", "shared", "learnable", "attention"]
+
+
+def _counting_forward(monkeypatch, model):
+    """Record the batch size of every ``model.forward`` call."""
+    sizes = []
+    forward = model.forward
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x) if np.ndim(x) == 4 else None)
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    return sizes
+
+
+class TestChunkedPredict:
+    @pytest.mark.parametrize("backbone", ["grugcn", "mlp-mixer"])
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    def test_chunks_equal_one_forward_by_bytes(self, monkeypatch, backbone, fusion):
+        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4, backbone=backbone,
+                          graph_kind="pearson", graph_k=1, fusion=fusion, keep_prob=0.8)
+        model = ExoModel(cfg, target_series=np.random.default_rng(1).normal(size=(3, 30)))
+        chunk = 3
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", chunk * 3 * 4 * 4)  # c * N * T * H
+        x, e_p, e_f = tiny_inputs(cfg, seed=2, batch=3 * chunk + 2)
+        sizes = _counting_forward(monkeypatch, model)
+        for b in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            whole = ExoModel.forward(model, x[:b], e_p[:b], e_f[:b])[0].values
+            sizes.clear()
+            got = model.predict(x[:b], e_p[:b], e_f[:b])
+            assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+            assert sizes == [min(chunk, b - lo) for lo in range(0, b, chunk)]
+        whole = ExoModel.forward(model, x[0], e_p[0], e_f[0])[0].values
+        assert model.predict(x[0], e_p[0], e_f[0]).tobytes() == whole.tobytes()
+
+    def test_paper_shape_chunk_is_seven(self, monkeypatch):
+        cfg = tiny_config(n_nodes=24, past_exo_dim=12, future_exo_dim=12, t_past=24,
+                          t_future=24, hidden=64, experts=4, backbone="mlp-mixer")
+        model = ExoModel(cfg)
+        sizes = _counting_forward(monkeypatch, model)
+        model.predict(*tiny_inputs(cfg, batch=15))
+        assert sizes == [7, 7, 1]
+
+    def test_chunk_bound_reads_the_longer_window(self, monkeypatch):
+        cfg = tiny_config(t_past=3, t_future=6)
+        model = ExoModel(cfg)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2 * 6 * 2 * 2)
+        sizes = _counting_forward(monkeypatch, model)
+        model.predict(*tiny_inputs(cfg, batch=5))
+        assert sizes == [2, 2, 1]
+
+    def test_peak_memory_is_one_chunk(self):
+        """At the paper width, 4 chunks of windows peak below twice one chunk."""
+        cfg = tiny_config(n_nodes=24, past_exo_dim=12, future_exo_dim=12, t_past=24,
+                          t_future=24, hidden=64, experts=4, graph_kind="pearson")
+        model = ExoModel(cfg, target_series=np.random.default_rng(0).normal(size=(24, 96)))
+        chunk = model_module.PREDICT_CHUNK // (24 * 24 * 64)
+        inputs = tiny_inputs(cfg, batch=4 * chunk)
+        peaks = {}
+        for b in (chunk, 4 * chunk):
+            batch = tuple(a[:b] for a in inputs)
+            model.predict(*batch)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                model.predict(*batch)
+                peaks[b] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4 * chunk] < 2 * peaks[chunk], peaks
+        whole = model.forward(*inputs)[0].values
+        assert model.predict(*inputs).tobytes() == whole.tobytes()

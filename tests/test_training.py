@@ -1,5 +1,7 @@
 """Tests for metrics, schedule, optimizer, training loop and evaluation."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -228,6 +230,22 @@ class TestTrain:
         result = train(model, prepared.train, prepared.val, prepared.scaler,
                        prepared.target_channel, cfg)
         assert len(result.history) == 3
+
+    @pytest.mark.parametrize("backbone", ["grugcn", "mlp-mixer"])
+    def test_view_windows_train_like_copies(self, backbone):
+        prepared = _tiny_prepared()
+        assert prepared.train[0].e_past.base is not None
+
+        def run(train_samples, val_samples):
+            model = _tiny_model(prepared, backbone=backbone, keep_prob=0.9)
+            result = train(model, train_samples, val_samples, prepared.scaler,
+                           prepared.target_channel, TrainConfig(epochs=3, batch_size=16, seed=2))
+            return (json.dumps(result.history),
+                    {k: t.values.tobytes() for k, t in model.parameters().items()})
+
+        views = run(prepared.train, prepared.val)
+        copies = run(copy.deepcopy(prepared.train), copy.deepcopy(prepared.val))
+        assert views == copies
 
 
 class _OracleModel:
