@@ -1,9 +1,12 @@
-"""Command-line surface: synthesize, train, evaluate, ablate, corrupt, inspect.
+"""Command-line surface: synthesize, train, evaluate, ablate, corrupt, graph.
 
 Every run archives its full configuration next to its outputs so results
 can be reproduced from the archive alone. Wall-clock accounting goes to a
 separate timing file; all other outputs are byte-deterministic for a fixed
 config and seed.
+
+A run prepares and ablates its panel once; every horizon, day 1 included, is
+scored on rollout windows of the test panel, and reported by ``_report``.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from .data import (
     SynthConfig,
     check_rollout_length,
     corrupt_exogenous,
+    drop_exogenous,
     load_panel,
     make_rollout_windows,
-    mask_exogenous,
     prepare_splits,
     save_panel,
     synth_generate,
 )
-from .graphs import build_graph
+from .backbones import BACKBONE_KINDS
+from .fusion import FUSION_STRATEGIES
+from .graphs import GRAPH_KINDS, build_graph
 from .model import ExoModel, ModelConfig, config_from_dict, load_model, save_model
 from .training import TrainConfig, TrainResult, evaluate, train
 
@@ -57,10 +62,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return config_from_dict(cls, d)
 
 
 def write_json(path: Path, payload) -> None:
@@ -93,21 +94,6 @@ def _check_horizons(prepared: PreparedData, days) -> None:
     for d in days:
         check_rollout_length(prepared.test_panel, prepared.t_past,
                              prepared.t_future, d)
-
-
-def _ablated(samples: list, layout, run: RunConfig) -> list:
-    """``samples`` with the exogenous groups the run leaves out zeroed."""
-    if run.use_past and run.use_future and run.use_date:
-        return samples
-    return mask_exogenous(samples, layout, run.use_past, run.use_future,
-                          run.use_date)
-
-
-def _masked(prepared: PreparedData, run: RunConfig) -> PreparedData:
-    """The run's data-ablation view of ``prepared``, which is left unchanged."""
-    return dataclasses.replace(prepared, **{
-        name: _ablated(getattr(prepared, name), prepared.layout, run)
-        for name in ("train", "val", "test")})
 
 
 def _model_config(args, prepared: PreparedData) -> ModelConfig:
@@ -143,19 +129,16 @@ def _train_once(run: RunConfig, prepared: PreparedData
     model = ExoModel(ModelConfig.from_dict(run.model),
                      target_series=prepared.train_target_series)
     result = train(model, prepared.train, prepared.val, prepared.scaler,
-                   prepared.target_channel, TrainConfig(**run.train))
+                   prepared.target_channel,
+                   config_from_dict(TrainConfig, run.train))
     return model, result
 
 
 def _evaluate(model, run: RunConfig, prepared: PreparedData, days: int,
               corrupt: str | None = None, corrupt_ratio: float = 0.0,
               corrupt_seed: int = 0) -> dict:
-    if days == 1:
-        samples = prepared.test
-    else:
-        samples, layout = make_rollout_windows(prepared.test_panel, run.t_past,
-                                               run.t_future, days)
-        samples = _ablated(samples, layout, run)
+    samples, _ = make_rollout_windows(prepared.test_panel, run.t_past,
+                                      run.t_future, days)
     if corrupt is not None:
         samples = corrupt_exogenous(samples, prepared.layout, corrupt,
                                     corrupt_ratio, corrupt_seed)
@@ -166,8 +149,18 @@ def _evaluate(model, run: RunConfig, prepared: PreparedData, days: int,
     return out
 
 
+def _report(out_dir: Path, stem: str, rows: list[dict], lead: list[str]) -> None:
+    """Write ``rows`` to ``stem``.json and as a table to ``stem``.txt, and
+    print the table; ``lead`` names the columns before the metrics."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / f"{stem}.json", rows)
+    table = format_table(rows, [*lead, "horizon_days", *METRIC_COLUMNS, "count"])
+    (out_dir / f"{stem}.txt").write_text(table)
+    print(table, end="")
+
+
 def _write_run_outputs(out_dir: Path, run: RunConfig, model: ExoModel,
-                       result: TrainResult, metric_rows: list[dict]) -> None:
+                       result: TrainResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "config.json", run.to_dict())
     save_model(out_dir / "model.bin", model)
@@ -178,9 +171,6 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, model: ExoModel,
         fh.write("epoch\tseconds\n")
         for i, sec in enumerate(result.epoch_seconds):
             fh.write(f"{i + 1}\t{sec:.4f}\n")
-    write_json(out_dir / "metrics.json", metric_rows)
-    columns = ["horizon_days", *METRIC_COLUMNS, "count"]
-    (out_dir / "metrics.txt").write_text(format_table(metric_rows, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +209,15 @@ def cmd_train(args) -> int:
     prepared = _load_prepared(args)
     _check_horizons(prepared, range(1, args.horizon_days + 1))
     run = _build_run(args, prepared)
-    prepared = _masked(prepared, run)
+    prepared = drop_exogenous(prepared, run.use_past, run.use_future, run.use_date)
     model, result = _train_once(run, prepared)
     rows = [_evaluate(model, run, prepared, days)
             for days in range(1, run.horizon_days + 1)]
-    _write_run_outputs(Path(args.out), run, model, result, rows)
+    _write_run_outputs(Path(args.out), run, model, result)
     print(f"trained {len(result.history)} epochs "
           f"(best val MAE {result.best_val_mae:.6f} "
           f"at epoch {result.best_epoch}); outputs in {args.out}")
-    print(format_table(rows, ["horizon_days", *METRIC_COLUMNS, "count"]), end="")
+    _report(Path(args.out), "metrics", rows, [])
     return 0
 
 
@@ -236,11 +226,13 @@ def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
     if not config_path.exists():
         raise FileNotFoundError(f"missing model archive: {config_path}")
     try:
-        run = RunConfig.from_dict(json.loads(config_path.read_text()))
+        run = config_from_dict(RunConfig, json.loads(config_path.read_text()))
         model_cfg = ModelConfig.from_dict(run.model)
+        config_from_dict(TrainConfig, run.train)
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
-    prepared = _masked(_load_prepared(run), run)
+    prepared = drop_exogenous(_load_prepared(run), run.use_past, run.use_future,
+                              run.use_date)
     model = load_model(model_dir / "model.bin", model_cfg)
     return run, model, prepared
 
@@ -254,12 +246,7 @@ def cmd_eval(args) -> int:
                       corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio,
                       corrupt_seed=args.corrupt_seed)
             for d in range(1, days + 1)]
-    out_dir = Path(args.out) if args.out else model_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "metrics.json", rows)
-    columns = ["horizon_days", *METRIC_COLUMNS, "count"]
-    (out_dir / "metrics.txt").write_text(format_table(rows, columns))
-    print(format_table(rows, columns), end="")
+    _report(Path(args.out) if args.out else model_dir, "metrics", rows, [])
     return 0
 
 
@@ -282,7 +269,7 @@ def cmd_ablate(args) -> int:
         run.model["fusion"] = fusion
         run.model["use_selector"] = not no_selector
         run.model["use_balancer"] = not no_balancer
-        variant_data = _masked(prepared, run)
+        variant_data = drop_exogenous(prepared, use_past, use_future, use_date)
         model, _ = _train_once(run, variant_data)
         row = {"variant": label}
         row.update(_evaluate(model, run, variant_data, args.horizon_days))
@@ -295,15 +282,9 @@ def cmd_ablate(args) -> int:
         one(label, use_past=use_past, use_future=use_future, use_date=use_date)
     one("module:no-selector", no_selector=True)
     one("module:no-balancer", no_balancer=True)
-    for fusion in ("context", "shared", "simple", "learnable", "attention"):
+    for fusion in FUSION_STRATEGIES:
         one(f"strategy:{fusion}", fusion=fusion)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "ablation.json", rows)
-    columns = ["variant", "horizon_days", *METRIC_COLUMNS, "count"]
-    (out_dir / "ablation.txt").write_text(format_table(rows, columns))
-    print(format_table(rows, columns), end="")
+    _report(Path(args.out), "ablation", rows, ["variant"])
     return 0
 
 
@@ -325,12 +306,8 @@ def cmd_corrupt_eval(args) -> int:
                                  corrupt_ratio=ratio,
                                  corrupt_seed=args.corrupt_seed))
             rows.append(row)
-    out_dir = Path(args.out) if args.out else model_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "corruption.json", rows)
-    columns = ["strategy", "ratio", "horizon_days", *METRIC_COLUMNS, "count"]
-    (out_dir / "corruption.txt").write_text(format_table(rows, columns))
-    print(format_table(rows, columns), end="")
+    _report(Path(args.out) if args.out else model_dir, "corruption", rows,
+            ["strategy", "ratio"])
     return 0
 
 
@@ -362,19 +339,18 @@ def _add_data_flags(p):
     p.add_argument("--t-future", type=int, default=24, dest="t_future")
 
 
+def _add_graph_flags(p):
+    p.add_argument("--graph", choices=GRAPH_KINDS, default="pearson")
+    p.add_argument("--graph-k", type=int, default=8, dest="graph_k")
+
+
 def _add_model_flags(p):
     p.add_argument("--experts", type=int, default=4, metavar="K")
     p.add_argument("--hidden", type=int, default=64, metavar="H")
-    p.add_argument("--backbone", choices=("grugcn", "mlp-mixer"),
-                   default="grugcn")
+    p.add_argument("--backbone", choices=BACKBONE_KINDS, default="grugcn")
     p.add_argument("--mix-hidden", type=int, default=32, dest="mix_hidden")
-    p.add_argument("--graph", choices=("pearson", "adaptive",
-                                       "adaptive-directed", "identity"),
-                   default="pearson")
-    p.add_argument("--graph-k", type=int, default=8, dest="graph_k")
-    p.add_argument("--fusion", choices=("context", "shared", "simple",
-                                        "learnable", "attention"),
-                   default="context")
+    _add_graph_flags(p)
+    p.add_argument("--fusion", choices=FUSION_STRATEGIES, default="context")
     p.add_argument("--keep-prob", type=float, default=0.9, dest="keep_prob")
     p.add_argument("--no-selector", action="store_true")
     p.add_argument("--no-balancer", action="store_true")
@@ -456,10 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="dump an adjacency matrix")
     _add_data_flags(p)
-    p.add_argument("--graph", choices=("pearson", "adaptive",
-                                       "adaptive-directed", "identity"),
-                   default="pearson")
-    p.add_argument("--graph-k", type=int, default=8, dest="graph_k")
+    _add_graph_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_graph)

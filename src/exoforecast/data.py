@@ -7,6 +7,9 @@ synthesized from timestamps, never ingested from files.
 Windows copy nothing per window: each split's target, past+date and
 future+date channels are copied once into read-only blocks, and every
 ``WindowSample`` field is a basic-slice view of one of them.
+
+Data ablation zeroes channels once, in the scaled split panels
+(``drop_exogenous``), so every window cut from them is ablated alike.
 """
 
 from __future__ import annotations
@@ -282,16 +285,16 @@ class Scaler:
     """Per-channel z-score statistics fitted on training rows only."""
 
     mean: np.ndarray  # (F,)
-    std: np.ndarray   # (F,), floored
+    std: np.ndarray   # (F,), 1 where the training std is below STD_FLOOR
 
     STD_FLOOR = 1e-8
 
     @classmethod
     def fit(cls, panel: Panel) -> "Scaler":
         flat = panel.data.reshape(-1, panel.data.shape[2])
-        mean = flat.mean(axis=0)
-        std = np.maximum(flat.std(axis=0), cls.STD_FLOOR)
-        return cls(mean=mean, std=std)
+        std = flat.std(axis=0)  # a train-constant channel is centred, not scaled
+        return cls(mean=flat.mean(axis=0),
+                   std=np.where(std < cls.STD_FLOOR, 1.0, std))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
@@ -443,7 +446,7 @@ def corrupt_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
 def mask_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
                    use_past: bool = True, use_future: bool = True,
                    use_date: bool = True) -> list[WindowSample]:
-    """Zero out whole exogenous groups for the data-ablation variants."""
+    """Zero out whole exogenous groups in windows, as ``drop_exogenous`` does."""
     past_kill = np.zeros(len(layout.past), bool)
     fut_kill = np.zeros(len(layout.future), bool)
     if not use_past:
@@ -496,8 +499,7 @@ class PreparedData:
 
 
 def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24,
-                   ratios: Sequence[float] = (0.7, 0.2, 0.1),
-                   stride: int = 1) -> PreparedData:
+                   ratios: Sequence[float] = (0.7, 0.2, 0.1)) -> PreparedData:
     """Fill holes, synthesize date channels, split, scale and window."""
     panel = fill_missing(panel)
     panel = add_date_channels(panel)
@@ -507,15 +509,40 @@ def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24,
     train_s = scaler.transform_panel(train_p)
     val_s = scaler.transform_panel(val_p)
     test_s = scaler.transform_panel(test_p)
-    train_w, layout = make_windows(train_s, t_past, t_future, stride)
-    val_w, _ = make_windows(val_s, t_past, t_future, stride)
-    test_w, _ = make_windows(test_s, t_past, t_future, stride)
+    train_w, layout = make_windows(train_s, t_past, t_future)
+    val_w, _ = make_windows(val_s, t_past, t_future)
+    test_w, _ = make_windows(test_s, t_past, t_future)
     return PreparedData(
         train=train_w, val=val_w, test=test_w, layout=layout, scaler=scaler,
         target_channel=train_s.target_index,
         train_panel=train_s, val_panel=val_s, test_panel=test_s,
         t_past=t_past, t_future=t_future,
     )
+
+
+def drop_exogenous(prepared: PreparedData, use_past: bool = True,
+                   use_future: bool = True, use_date: bool = True) -> PreparedData:
+    """``prepared`` with the roles a data ablation leaves out zeroed, once.
+
+    Each scaled split panel is copied once with those channels set to +0.0
+    and windowed again, so rollout windows later cut from ``test_panel`` are
+    ablated too. Returns ``prepared`` itself when nothing is dropped.
+    """
+    roles = zip((VariableRole.PAST, VariableRole.FUTURE, VariableRole.DATE),
+                (use_past, use_future, use_date))
+    cols = [i for role, used in roles if not used
+            for i in prepared.train_panel.indices_for(role)]
+    if not cols:
+        return prepared
+    splits = {}
+    for name in ("train", "val", "test"):
+        panel = getattr(prepared, f"{name}_panel")
+        data = panel.data.copy()
+        data[:, :, cols] = 0.0
+        panel = replace(panel, data=data)
+        splits[f"{name}_panel"] = panel
+        splits[name], _ = make_windows(panel, prepared.t_past, prepared.t_future)
+    return replace(prepared, **splits)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-PROVENANCES = ("pearson-topk", "adaptive", "adaptive-directed", "identity")
+GRAPH_KINDS = ("pearson", "adaptive", "adaptive-directed", "identity")
 
 
 def adaptive_adjacency(embeddings: Tensor) -> Tensor:

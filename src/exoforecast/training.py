@@ -167,15 +167,13 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
           target_channel: int, config: TrainConfig) -> TrainResult:
     """Mini-batch AdamW training with cosine annealing and early stopping.
 
-    Loss is computed on normalized targets; validation MAE is tracked in
-    denormalized units and the best-validation parameters are restored on
-    exit. Fully reproducible for a fixed (seed, config, data).
+    Loss is computed on normalized targets; validation MAE is ``evaluate``'s,
+    in denormalized units, and the best-validation parameters are restored
+    on exit. Fully reproducible for a fixed (seed, config, data).
     """
     if not train_samples:
         raise ValueError("no training samples")
     rng = np.random.default_rng(config.seed)
-    xv, epv, efv, yv = stack_samples(val_samples)
-    yv_true = scaler.inverse_channel(yv, target_channel)
     n = len(train_samples)
     batch = min(config.batch_size, max(1, math.ceil(n / 2)))
     params = model.parameters()
@@ -206,9 +204,7 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
                        config.weight_decay)
             epoch_loss += loss_val
             n_batches += 1
-        pred_val = model.predict(xv, epv, efv)
-        val_mae = metrics(yv_true,
-                          scaler.inverse_channel(pred_val, target_channel)).mae
+        val_mae = evaluate(model, val_samples, scaler, target_channel).mae
         stop = stopper.update(val_mae, epoch)
         if stopper.best_epoch == epoch:
             best_values = {k: t.values.copy() for k, t in params.items()}
@@ -232,34 +228,31 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
 def evaluate(model, samples: Sequence[WindowSample], scaler: Scaler,
              target_channel: int, days: int = 1,
              t_future: Optional[int] = None) -> MetricsRecord:
-    """Denormalized metrics over a 1-day forecast or a multi-day rollout.
+    """Denormalized metrics over a ``days``-day rollout; a 1-day forecast is
+    a 1-day rollout, whose ``t_future`` defaults to the windows' horizon.
 
-    For ``days > 1`` the samples must come from ``make_rollout_windows``:
-    the model's forecast is appended to the endogenous history while the
-    true exogenous channels advance day by day.
+    The samples come from ``make_rollout_windows`` (or, for one day, the
+    equal ``make_windows``): each day's forecast is appended to the
+    endogenous history while the true exogenous channels advance day by day.
     """
     if not samples:
         raise ValueError("no evaluation samples")
     x, e_p, e_f, y = stack_samples(samples)
-    if days == 1:
-        pred = model.predict(x, e_p, e_f)
-    else:
-        if t_future is None:
+    if t_future is None:
+        if days != 1:
             raise ValueError("multi-day evaluation needs t_future")
-        t_past = x.shape[2]
-        if e_f.shape[2] != days * t_future:
-            raise ValueError(
-                f"samples carry {e_f.shape[2]} future steps, expected "
-                f"{days * t_future}; build them with make_rollout_windows")
-        history = x
-        chunks = []
-        for d in range(days):
-            lo = d * t_future
-            e_p_day = e_p[:, :, lo:lo + t_past, :]
-            e_f_day = e_f[:, :, lo:lo + t_future, :]
-            pred_day = model.predict(history[:, :, -t_past:, :], e_p_day, e_f_day)
-            chunks.append(pred_day)
-            history = np.concatenate([history, pred_day], axis=2)
-        pred = np.concatenate(chunks, axis=2)
+        t_future = e_f.shape[2]
+    if e_f.shape[2] != days * t_future:
+        raise ValueError(
+            f"samples carry {e_f.shape[2]} future steps, expected "
+            f"{days * t_future}; build them with make_rollout_windows")
+    t_past = x.shape[2]
+    history = x
+    for d in range(days):
+        lo = d * t_future
+        pred_day = model.predict(history[:, :, -t_past:, :],
+                                 e_p[:, :, lo:lo + t_past, :],
+                                 e_f[:, :, lo:lo + t_future, :])
+        history = np.concatenate([history, pred_day], axis=2)
     return metrics(scaler.inverse_channel(y, target_channel),
-                   scaler.inverse_channel(pred, target_channel))
+                   scaler.inverse_channel(history[:, :, t_past:], target_channel))

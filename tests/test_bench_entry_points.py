@@ -85,3 +85,45 @@ def test_prepared_data_keeps_the_split_attributes():
     prepared = prepare_splits(synth_generate(SynthConfig(nodes=2, steps=120)), 6, 4)
     for split in ("train", "val", "test"):
         assert len(getattr(prepared, split)) > 0
+
+
+COUNTED = ("data.make_rollout_windows", "training.evaluate", "training.stack_samples")
+
+
+def test_traced_entry_points_are_called(tmp_path, monkeypatch):
+    """The CLI calls the names the tracer wraps, one rollout and one evaluate
+    per horizon per command, so a traced span cannot silently read 0."""
+    from exoforecast.cli import main
+    from exoforecast.data import save_panel
+
+    paths = {span: path for span, path, _ in _constants()["SPANS"]}
+    calls = dict.fromkeys(COUNTED, 0)
+    for span in COUNTED:
+        module, attr = paths[span].rsplit(".", 1)
+        owner = importlib.import_module(module)
+        real = getattr(owner, attr)
+
+        def counted(*args, _span=span, _real=real, **kwargs):
+            calls[_span] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    panel = synth_generate(SynthConfig(nodes=3, steps=200, seed=2))
+    save_panel(panel, tmp_path / "panel.csv", tmp_path / "panel.schema.json")
+    tiny = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
+            "--mix-hidden", "4", "--backbone", "mlp-mixer", "--epochs", "2",
+            "--batch", "64"]
+    assert main(["train", "--data", str(tmp_path / "panel.csv"),
+                 "--schema", str(tmp_path / "panel.schema.json"), *tiny,
+                 "--horizon-days", "2", "--out", str(tmp_path / "run")]) == 0
+    trained = dict(calls)
+    batches = -(-len(prepare_splits(panel, 6, 4).train) // 64)
+    # per epoch: each batch and the validation split; then each test horizon
+    assert trained == {"data.make_rollout_windows": 2, "training.evaluate": 2,
+                       "training.stack_samples": 2 * (batches + 1) + 2}
+    assert main(["eval", "--model-dir", str(tmp_path / "run"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert {span: calls[span] - trained[span] for span in COUNTED} == {
+        "data.make_rollout_windows": 2, "training.evaluate": 2,
+        "training.stack_samples": 2}

@@ -184,7 +184,7 @@ class TestHorizonTooLong:
 
 
 def _stale(config: dict, level: str, change: str) -> None:
-    block = config if level == "run" else config["model"]
+    block = config if level == "run" else config[level]
     if change == "extra":
         block["stale_key"] = 1
     else:
@@ -193,7 +193,7 @@ def _stale(config: dict, level: str, change: str) -> None:
 
 class TestStaleConfig:
     @pytest.mark.parametrize("command", ["eval", "corrupt-eval"])
-    @pytest.mark.parametrize("level", ["run", "model"])
+    @pytest.mark.parametrize("level", ["run", "model", "train"])
     @pytest.mark.parametrize("change", ["extra", "missing"])
     def test_fails_with_one_line(self, trained_dir, tmp_path, capsys,
                                  command, level, change):
@@ -211,6 +211,7 @@ class TestStaleConfig:
         word = "unknown keys stale_key" if change == "extra" else "missing keys seed"
         assert word in err[0]
         assert ("ModelConfig" in err[0]) == (level == "model")
+        assert ("TrainConfig" in err[0]) == (level == "train")
 
 
 class TestAblatedRollout:

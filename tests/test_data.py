@@ -16,11 +16,13 @@ from exoforecast.data import (
     add_date_channels,
     chronological_split,
     corrupt_exogenous,
+    drop_exogenous,
     encode_time,
     fill_missing,
     load_panel,
     make_rollout_windows,
     make_windows,
+    mask_exogenous,
     prepare_splits,
     save_panel,
     synth_generate,
@@ -265,6 +267,21 @@ class TestScaler:
         # the quotient at roundoff scale instead of blowing up
         np.testing.assert_allclose(out[:, :, 1], np.zeros((2, 6)), atol=1e-6)
 
+    def test_train_constant_channel_scales_by_one(self):
+        panel = tiny_panel()
+        panel.data[:, :, 1] = 4.2
+        assert Scaler.fit(panel).std[1] == 1.0
+
+    def test_short_panel_scales_to_bounded_values(self):
+        # 112 training hours: weekday 6 and the month channels never vary there
+        prepared = prepare_splits(synth_generate(SynthConfig(nodes=3, steps=160)), 6, 4)
+        floored = [v for v, s in zip(prepared.train_panel.variables,
+                                     prepared.scaler.std) if s == 1.0]
+        assert {"month_sin", "month_cos", "dow_6"} <= set(floored)
+        for name in ("train", "val", "test"):
+            data = getattr(prepared, f"{name}_panel").data
+            assert np.isfinite(data).all() and np.abs(data).max() < 10.0
+
     def test_round_trip(self):
         panel = tiny_panel(seed=5)
         scaler = Scaler.fit(panel)
@@ -495,6 +512,70 @@ class TestWindowViews:
             for field, w in zip(FIELDS, want):
                 got = getattr(s, field)
                 assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+
+ABLATIONS = [flags for flags in
+             ((p, f, d) for p in (True, False) for f in (True, False)
+              for d in (True, False)) if not all(flags)]
+
+
+class TestDropExogenous:
+    def _prepared(self):
+        return prepare_splits(synth_generate(SynthConfig(nodes=3, steps=260, seed=4)),
+                              6, 4)
+
+    @staticmethod
+    def _assert_same_windows(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.offset == b.offset
+            for field in FIELDS:
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("flags", ABLATIONS)
+    def test_equals_window_masking_by_bytes(self, flags):
+        prepared = self._prepared()
+        before = {name: getattr(prepared, f"{name}_panel").data.copy()
+                  for name in ("train", "val", "test")}
+        dropped = drop_exogenous(prepared, *flags)
+        for name in ("train", "val", "test"):
+            self._assert_same_windows(
+                getattr(dropped, name),
+                mask_exogenous(getattr(prepared, name), prepared.layout, *flags))
+            assert getattr(prepared, f"{name}_panel").data.tobytes() == \
+                before[name].tobytes()
+        assert dropped.layout is prepared.layout
+        assert dropped.train_target_series.tobytes() == \
+            prepared.train_target_series.tobytes()
+
+    def test_nothing_dropped_is_the_same_object(self):
+        prepared = self._prepared()
+        assert drop_exogenous(prepared) is prepared
+        assert drop_exogenous(prepared, True, True, True) is prepared
+
+    @pytest.mark.parametrize("flags", ABLATIONS)
+    def test_windows_stay_read_only_views(self, flags):
+        dropped = drop_exogenous(self._prepared(), *flags)
+        widths = 1 + len(dropped.layout.past) + len(dropped.layout.future)
+        for name in ("train", "val", "test"):
+            samples = getattr(dropped, name)
+            panel = getattr(dropped, f"{name}_panel")
+            owners = {id(_owner(getattr(s, f))): _owner(getattr(s, f))
+                      for s in samples for f in FIELDS}
+            assert len(owners) <= 3
+            assert sum(o.nbytes for o in owners.values()) <= \
+                panel.n_nodes * panel.n_steps * widths * 8
+            assert not any(o.flags.writeable for o in owners.values())
+
+    @pytest.mark.parametrize("days", [1, 2, 3])
+    @pytest.mark.parametrize("flags", ABLATIONS)
+    def test_rollouts_from_dropped_panel_are_masked(self, flags, days):
+        prepared = self._prepared()
+        dropped = drop_exogenous(prepared, *flags)
+        got, _ = make_rollout_windows(dropped.test_panel, 6, 4, days)
+        plain, layout = make_rollout_windows(prepared.test_panel, 6, 4, days)
+        self._assert_same_windows(got, mask_exogenous(plain, layout, *flags))
 
 
 def fill_missing_oracle(panel):

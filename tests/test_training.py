@@ -280,6 +280,13 @@ class TestEvaluate:
             prepared.scaler.inverse_channel(model.predict(x, e_p, e_f),
                                             prepared.target_channel))
         assert rec.mae == direct.mae and rec.rmse == direct.rmse
+        rollout, _ = make_rollout_windows(prepared.test_panel, 6, 4, days=1)
+        for samples, t_future in ((prepared.test, None), (rollout, 4)):
+            got = evaluate(model, samples, prepared.scaler, prepared.target_channel,
+                           days=1, t_future=t_future)
+            for name in ("mae", "rmse", "mape", "mre", "count"):
+                a, b = getattr(got, name), getattr(direct, name)
+                assert np.array(a).tobytes() == np.array(b).tobytes(), name
 
     def test_rollout_perfect_oracle(self):
         prepared = _tiny_prepared(steps=200)
