@@ -7,6 +7,7 @@ config and seed.
 
 A run prepares and ablates its panel once; every horizon, day 1 included, is
 scored on rollout windows of the test panel, and reported by ``_report``.
+Horizons 1..D are rolled once: each continues the rollout of the one before.
 """
 
 from __future__ import annotations
@@ -134,19 +135,30 @@ def _train_once(run: RunConfig, prepared: PreparedData
     return model, result
 
 
-def _evaluate(model, run: RunConfig, prepared: PreparedData, days: int,
+def _evaluate(model, run: RunConfig, prepared: PreparedData, horizons,
               corrupt: str | None = None, corrupt_ratio: float = 0.0,
-              corrupt_seed: int = 0) -> dict:
-    samples, _ = make_rollout_windows(prepared.test_panel, run.t_past,
-                                      run.t_future, days)
-    if corrupt is not None:
-        samples = corrupt_exogenous(samples, prepared.layout, corrupt,
-                                    corrupt_ratio, corrupt_seed)
-    record = evaluate(model, samples, prepared.scaler, prepared.target_channel,
-                      days=days, t_future=run.t_future)
-    out = {"horizon_days": days}
-    out.update(record.to_dict())
-    return out
+              corrupt_seed: int = 0) -> list[dict]:
+    """One metric row per horizon in ``horizons`` (increasing day counts),
+    each from one ``make_rollout_windows`` and one ``evaluate`` call.
+
+    An uncorrupted horizon continues the rollout history of the one before
+    it, so it forecasts only its new days; the rows equal those of rolling
+    each horizon from day 1 bit for bit. A corrupted horizon rolls from
+    day 1: its corruption draws differ from the shorter horizon's.
+    """
+    rows, history = [], None
+    for days in horizons:
+        samples, _ = make_rollout_windows(prepared.test_panel, run.t_past,
+                                          run.t_future, days)
+        if corrupt is not None:
+            samples = corrupt_exogenous(samples, prepared.layout, corrupt,
+                                        corrupt_ratio, corrupt_seed)
+        record = evaluate(model, samples, prepared.scaler,
+                          prepared.target_channel, days=days,
+                          t_future=run.t_future, history=history)
+        history = record.history if corrupt is None else None
+        rows.append({"horizon_days": days, **record.to_dict()})
+    return rows
 
 
 def _report(out_dir: Path, stem: str, rows: list[dict], lead: list[str]) -> None:
@@ -211,8 +223,7 @@ def cmd_train(args) -> int:
     run = _build_run(args, prepared)
     prepared = drop_exogenous(prepared, run.use_past, run.use_future, run.use_date)
     model, result = _train_once(run, prepared)
-    rows = [_evaluate(model, run, prepared, days)
-            for days in range(1, run.horizon_days + 1)]
+    rows = _evaluate(model, run, prepared, range(1, run.horizon_days + 1))
     _write_run_outputs(Path(args.out), run, model, result)
     print(f"trained {len(result.history)} epochs "
           f"(best val MAE {result.best_val_mae:.6f} "
@@ -242,10 +253,9 @@ def cmd_eval(args) -> int:
     run, model, prepared = _load_run(model_dir)
     days = args.horizon_days or run.horizon_days
     _check_horizons(prepared, range(1, days + 1))
-    rows = [_evaluate(model, run, prepared, d,
-                      corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio,
-                      corrupt_seed=args.corrupt_seed)
-            for d in range(1, days + 1)]
+    rows = _evaluate(model, run, prepared, range(1, days + 1),
+                     corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio,
+                     corrupt_seed=args.corrupt_seed)
     _report(Path(args.out) if args.out else model_dir, "metrics", rows, [])
     return 0
 
@@ -272,7 +282,7 @@ def cmd_ablate(args) -> int:
         variant_data = drop_exogenous(prepared, use_past, use_future, use_date)
         model, _ = _train_once(run, variant_data)
         row = {"variant": label}
-        row.update(_evaluate(model, run, variant_data, args.horizon_days))
+        row.update(_evaluate(model, run, variant_data, [args.horizon_days])[0])
         rows.append(row)
 
     for use_past, use_future, use_date in _DATA_ABLATIONS:
@@ -297,14 +307,14 @@ def cmd_corrupt_eval(args) -> int:
     days = args.horizon_days or run.horizon_days
     rows = []
     base = {"strategy": "none", "ratio": 0.0}
-    base.update(_evaluate(model, run, prepared, days))
+    base.update(_evaluate(model, run, prepared, [days])[0])
     rows.append(base)
     for strategy in ("zero", "random"):
         for ratio in CORRUPTION_RATIOS:
             row = {"strategy": strategy, "ratio": ratio}
-            row.update(_evaluate(model, run, prepared, days, corrupt=strategy,
+            row.update(_evaluate(model, run, prepared, [days], corrupt=strategy,
                                  corrupt_ratio=ratio,
-                                 corrupt_seed=args.corrupt_seed))
+                                 corrupt_seed=args.corrupt_seed)[0])
             rows.append(row)
     _report(Path(args.out) if args.out else model_dir, "corruption", rows,
             ["strategy", "ratio"])

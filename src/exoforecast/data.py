@@ -6,7 +6,9 @@ synthesized from timestamps, never ingested from files.
 
 Windows copy nothing per window: each split's target, past+date and
 future+date channels are copied once into read-only blocks, and every
-``WindowSample`` field is a basic-slice view of one of them.
+``WindowSample`` field is a basic-slice view of one of them. A split is
+windowed on its first use only, so a command that scores rollouts of the
+test panel windows no split at all.
 
 Data ablation zeroes channels once, in the scaled split panels
 (``drop_exogenous``), so every window cut from them is ablated alike.
@@ -14,6 +16,7 @@ Data ablation zeroes channels once, in the scaled split panels
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -128,7 +131,10 @@ def load_panel(path, schema_path) -> Panel:
     """Load a `node_id,timestamp,var...` delimited file plus its descriptor.
 
     An empty cell (or ``nan``) is a missing value; an infinite one is an
-    error naming the file and line.
+    error naming the file and line. Every node must share one timestamp
+    sequence at one cadence, the spacing of its first two steps: a missing
+    or doubled step is an error naming the file, the node and the first
+    pair of timestamps spaced otherwise.
     """
     roles = load_schema(schema_path)
     with open(path) as fh:
@@ -176,6 +182,10 @@ def load_panel(path, schema_path) -> Panel:
     for a, b in zip(timestamps, timestamps[1:]):
         if b <= a:
             raise ValueError(f"non-monotone timestamps for node {order[0]}: {a} then {b}")
+        if b - a != timestamps[1] - timestamps[0]:
+            raise ValueError(
+                f"{path}: irregular cadence for node {order[0]}: {a} then {b} "
+                f"is {b - a} apart, the first step {timestamps[1] - timestamps[0]}")
     data = np.empty((len(order), len(timestamps), len(variables)))
     for i, node in enumerate(order):
         rows = per_node[node]
@@ -335,6 +345,21 @@ class WindowSample:
     offset: int = 0
 
 
+def feature_layout(panel: Panel) -> FeatureLayout:
+    """The columns windows of ``panel`` carry in each exogenous block."""
+    past_idx = panel.indices_for(VariableRole.PAST)
+    fut_idx = panel.indices_for(VariableRole.FUTURE)
+    date_idx = panel.indices_for(VariableRole.DATE)
+    names = panel.variables
+    return FeatureLayout(
+        endo=[names[panel.target_index]],
+        past=[names[i] for i in past_idx + date_idx],
+        future=[names[i] for i in fut_idx + date_idx],
+        past_is_date=np.array([False] * len(past_idx) + [True] * len(date_idx)),
+        future_is_date=np.array([False] * len(fut_idx) + [True] * len(date_idx)),
+    )
+
+
 def _window(panel: Panel, t_past: int, t_future: int, hist_span: int,
             stride: int) -> tuple[list[WindowSample], FeatureLayout]:
     """Windows whose history spans ``hist_span`` steps and horizon ``t_future``.
@@ -342,20 +367,12 @@ def _window(panel: Panel, t_past: int, t_future: int, hist_span: int,
     The target, past+date and future+date channels are each copied once into
     a read-only (N, T, C) block; every window field is a basic slice of one.
     """
-    tgt = panel.target_index
-    past_idx = panel.indices_for(VariableRole.PAST)
-    fut_idx = panel.indices_for(VariableRole.FUTURE)
     date_idx = panel.indices_for(VariableRole.DATE)
-    names = panel.variables
-    layout = FeatureLayout(
-        endo=[names[tgt]],
-        past=[names[i] for i in past_idx + date_idx],
-        future=[names[i] for i in fut_idx + date_idx],
-        past_is_date=np.array([False] * len(past_idx) + [True] * len(date_idx)),
-        future_is_date=np.array([False] * len(fut_idx) + [True] * len(date_idx)),
-    )
-    target, past, future = (np.take(panel.data, cols, axis=2)
-                            for cols in ([tgt], past_idx + date_idx, fut_idx + date_idx))
+    target, past, future = (
+        np.take(panel.data, cols, axis=2)
+        for cols in ([panel.target_index],
+                     panel.indices_for(VariableRole.PAST) + date_idx,
+                     panel.indices_for(VariableRole.FUTURE) + date_idx))
     for block in (target, past, future):
         block.flags.writeable = False
     samples = []
@@ -368,7 +385,7 @@ def _window(panel: Panel, t_past: int, t_future: int, hist_span: int,
             y=target[:, horizon],
             offset=o,
         ))
-    return samples, layout
+    return samples, feature_layout(panel)
 
 
 def make_windows(panel: Panel, t_past: int, t_future: int,
@@ -474,16 +491,15 @@ def mask_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
 
 @dataclass
 class PreparedData:
-    """Scaled chronological splits plus their windows and bookkeeping.
+    """Scaled chronological split panels plus their bookkeeping.
 
-    ``train``, ``val`` and ``test`` are read-only views into one set of
-    blocks per split (see ``make_windows``): their memory grows with the
-    split's length, not with its number of windows.
+    ``train``, ``val`` and ``test`` are each split's ``make_windows``,
+    built from its panel on first read and kept: read-only views into one
+    set of blocks per split, whose memory grows with the split's length, not
+    with its number of windows. A split that is never read is never
+    windowed; ``dataclasses.replace`` starts with none built.
     """
 
-    train: list[WindowSample]
-    val: list[WindowSample]
-    test: list[WindowSample]
     layout: FeatureLayout
     scaler: Scaler
     target_channel: int
@@ -493,6 +509,18 @@ class PreparedData:
     t_past: int
     t_future: int
 
+    @functools.cached_property
+    def train(self) -> list[WindowSample]:
+        return make_windows(self.train_panel, self.t_past, self.t_future)[0]
+
+    @functools.cached_property
+    def val(self) -> list[WindowSample]:
+        return make_windows(self.val_panel, self.t_past, self.t_future)[0]
+
+    @functools.cached_property
+    def test(self) -> list[WindowSample]:
+        return make_windows(self.test_panel, self.t_past, self.t_future)[0]
+
     @property
     def train_target_series(self) -> np.ndarray:
         return self.train_panel.data[:, :, self.target_channel]
@@ -500,22 +528,19 @@ class PreparedData:
 
 def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24,
                    ratios: Sequence[float] = (0.7, 0.2, 0.1)) -> PreparedData:
-    """Fill holes, synthesize date channels, split, scale and window."""
+    """Fill holes, synthesize date channels, split and scale; each split is
+    windowed on first use (see ``PreparedData``)."""
     panel = fill_missing(panel)
     panel = add_date_channels(panel)
     train_p, val_p, test_p = chronological_split(
         panel, ratios, min_length=t_past + t_future)
     scaler = Scaler.fit(train_p)
     train_s = scaler.transform_panel(train_p)
-    val_s = scaler.transform_panel(val_p)
-    test_s = scaler.transform_panel(test_p)
-    train_w, layout = make_windows(train_s, t_past, t_future)
-    val_w, _ = make_windows(val_s, t_past, t_future)
-    test_w, _ = make_windows(test_s, t_past, t_future)
     return PreparedData(
-        train=train_w, val=val_w, test=test_w, layout=layout, scaler=scaler,
-        target_channel=train_s.target_index,
-        train_panel=train_s, val_panel=val_s, test_panel=test_s,
+        layout=feature_layout(train_s), scaler=scaler,
+        target_channel=train_s.target_index, train_panel=train_s,
+        val_panel=scaler.transform_panel(val_p),
+        test_panel=scaler.transform_panel(test_p),
         t_past=t_past, t_future=t_future,
     )
 
@@ -524,9 +549,10 @@ def drop_exogenous(prepared: PreparedData, use_past: bool = True,
                    use_future: bool = True, use_date: bool = True) -> PreparedData:
     """``prepared`` with the roles a data ablation leaves out zeroed, once.
 
-    Each scaled split panel is copied once with those channels set to +0.0
-    and windowed again, so rollout windows later cut from ``test_panel`` are
-    ablated too. Returns ``prepared`` itself when nothing is dropped.
+    Each scaled split panel is copied once with those channels set to +0.0;
+    the split windows, built on first read, and rollout windows later cut
+    from ``test_panel`` are then ablated too. Returns ``prepared`` itself
+    when nothing is dropped.
     """
     roles = zip((VariableRole.PAST, VariableRole.FUTURE, VariableRole.DATE),
                 (use_past, use_future, use_date))
@@ -534,15 +560,13 @@ def drop_exogenous(prepared: PreparedData, use_past: bool = True,
             for i in prepared.train_panel.indices_for(role)]
     if not cols:
         return prepared
-    splits = {}
-    for name in ("train", "val", "test"):
-        panel = getattr(prepared, f"{name}_panel")
+    panels = {}
+    for name in ("train_panel", "val_panel", "test_panel"):
+        panel = getattr(prepared, name)
         data = panel.data.copy()
         data[:, :, cols] = 0.0
-        panel = replace(panel, data=data)
-        splits[f"{name}_panel"] = panel
-        splits[name], _ = make_windows(panel, prepared.t_past, prepared.t_future)
-    return replace(prepared, **splits)
+        panels[name] = replace(panel, data=data)
+    return replace(prepared, **panels)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ class MetricsRecord:
     mape: float   # percent; NaN when every |y| is below the guard
     mre: float    # percent; NaN when sum |y| is zero
     count: int
+    # ``evaluate``'s scaled rollout history (x, then each day's forecast),
+    # which a longer horizon's ``evaluate`` continues from; None elsewhere
+    history: Optional[np.ndarray] = field(default=None, repr=False,
+                                          compare=False)
 
     def to_dict(self) -> dict:
         def none_if_nan(v):
@@ -227,13 +231,22 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
 
 def evaluate(model, samples: Sequence[WindowSample], scaler: Scaler,
              target_channel: int, days: int = 1,
-             t_future: Optional[int] = None) -> MetricsRecord:
+             t_future: Optional[int] = None, *,
+             history: Optional[np.ndarray] = None) -> MetricsRecord:
     """Denormalized metrics over a ``days``-day rollout; a 1-day forecast is
     a 1-day rollout, whose ``t_future`` defaults to the windows' horizon.
 
     The samples come from ``make_rollout_windows`` (or, for one day, the
     equal ``make_windows``): each day's forecast is appended to the
     endogenous history while the true exogenous channels advance day by day.
+
+    ``history`` continues a shorter rollout instead of starting at day 1:
+    the ``history`` of the record a k-day ``evaluate`` returned, k < days,
+    on windows with the same start offsets, of which these samples are the
+    first ``len(samples)``. Only days k+1..days are then forecast. Every
+    forecast depends on its own window alone, so the record equals the one
+    rolled from day 1 bit for bit. A history that does not fit raises
+    ``ValueError``. The returned record's ``history`` holds all ``days``.
     """
     if not samples:
         raise ValueError("no evaluation samples")
@@ -247,12 +260,33 @@ def evaluate(model, samples: Sequence[WindowSample], scaler: Scaler,
             f"samples carry {e_f.shape[2]} future steps, expected "
             f"{days * t_future}; build them with make_rollout_windows")
     t_past = x.shape[2]
-    history = x
-    for d in range(days):
+    done = 0 if history is None else _days_done(history, x, t_future, days)
+    history = x if history is None else history[:len(x)]
+    for d in range(done, days):
         lo = d * t_future
         pred_day = model.predict(history[:, :, -t_past:, :],
                                  e_p[:, :, lo:lo + t_past, :],
                                  e_f[:, :, lo:lo + t_future, :])
         history = np.concatenate([history, pred_day], axis=2)
-    return metrics(scaler.inverse_channel(y, target_channel),
-                   scaler.inverse_channel(history[:, :, t_past:], target_channel))
+    record = metrics(scaler.inverse_channel(y, target_channel),
+                     scaler.inverse_channel(history[:, :, t_past:], target_channel))
+    record.history = history
+    return record
+
+
+def _days_done(history: np.ndarray, x: np.ndarray, t_future: int,
+               days: int) -> int:
+    """The days ``history`` rolled, k < ``days``; raise unless it is a
+    rollout of the windows ``x`` starts."""
+    t_past = x.shape[2]
+    done, extra = divmod(history.shape[2] - t_past, t_future)
+    if len(history) < len(x):
+        raise ValueError(f"history holds {len(history)} windows, "
+                         f"fewer than the {len(x)} samples")
+    if extra or not 0 <= done < days:
+        raise ValueError(
+            f"history spans {history.shape[2]} steps, not {t_past} + k*{t_future} "
+            f"with k < {days}")
+    if not np.array_equal(history[:len(x), :, :t_past], x):
+        raise ValueError("history does not start with the samples' x")
+    return done

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from exoforecast import cli
 from exoforecast.cli import main
-from exoforecast.data import load_panel, prepare_splits
+from exoforecast.data import (SynthConfig, load_panel, prepare_splits, save_panel,
+                              synth_generate)
 
 TINY_TRAIN = [
     "--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
@@ -189,6 +191,26 @@ def _stale(config: dict, level: str, change: str) -> None:
         block["stale_key"] = 1
     else:
         del block["seed"]
+
+
+class TestIrregularCadence:
+    def test_train_refuses_dropped_days(self, tmp_path, capsys):
+        panel = synth_generate(SynthConfig(nodes=3, steps=300, seed=7))
+        keep = [t for t in range(300) if not 100 <= t < 172]  # 72 hours dropped
+        csv = tmp_path / "panel.csv"
+        save_panel(replace(panel, timestamps=[panel.timestamps[t] for t in keep],
+                           data=panel.data[:, keep]),
+                   csv, tmp_path / "panel.schema.json")
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(csv),
+                   "--schema", str(tmp_path / "panel.schema.json"),
+                   "--out", str(out), *TINY_TRAIN])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {csv}: irregular cadence for node n0: "
+                       "2019-01-05 03:00:00 then 2019-01-08 04:00:00 is "
+                       "3 days, 1:00:00 apart, the first step 1:00:00"]
+        assert not out.exists()
 
 
 class TestStaleConfig:

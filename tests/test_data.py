@@ -123,6 +123,39 @@ class TestLoadPanel:
         assert panel.n_steps == 4344
         assert len(panel.variables) == 20
 
+    @staticmethod
+    def stamped(stamps) -> str:
+        return "".join(f"n{i},{ts.isoformat()},{i + t}.0,{t}.0\n"
+                       for i in range(2) for t, ts in enumerate(stamps))
+
+    def test_dropped_hour_rejected(self, tmp_path):
+        stamps = hourly(8)
+        del stamps[5]
+        csv, schema = self.write(tmp_path, self.stamped(stamps))
+        with pytest.raises(ValueError) as info:
+            load_panel(csv, schema)
+        assert str(info.value) == (
+            f"{csv}: irregular cadence for node n0: 2019-01-01 04:00:00 then "
+            "2019-01-01 06:00:00 is 2:00:00 apart, the first step 1:00:00")
+
+    def test_doubled_step_rejected(self, tmp_path):
+        stamps = hourly(4)
+        stamps += [stamps[-1] + timedelta(hours=2 * k) for k in (1, 2, 3)]
+        csv, schema = self.write(tmp_path, self.stamped(stamps))
+        with pytest.raises(ValueError, match=(
+                "irregular cadence for node n0: 2019-01-01 03:00:00 then "
+                "2019-01-01 05:00:00 is 2:00:00 apart")):
+            load_panel(csv, schema)
+
+    @pytest.mark.parametrize("step", [timedelta(minutes=15), timedelta(hours=1),
+                                      timedelta(days=1)])
+    def test_regular_cadence_loads(self, tmp_path, step):
+        t0 = datetime.fromisoformat("2019-03-30T22:00:00")
+        stamps = [t0 + k * step for k in range(6)]
+        csv, schema = self.write(tmp_path, self.stamped(stamps))
+        panel = load_panel(csv, schema)
+        assert panel.timestamps == stamps and panel.data.shape == (2, 6, 2)
+
     def test_round_trip(self, tmp_path):
         panel = tiny_panel()
         save_panel(panel, tmp_path / "p.csv", tmp_path / "p.schema.json")

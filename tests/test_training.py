@@ -310,3 +310,65 @@ class TestEvaluate:
         rec = evaluate(model, samples, prepared.scaler,
                        prepared.target_channel, days=2, t_future=4)
         assert rec.count == len(samples) * 2 * 8
+
+
+class TestRolloutHistory:
+    """A longer horizon continues the rollout history of a shorter one."""
+
+    @pytest.fixture(scope="class")
+    def rollouts(self):
+        prepared = _tiny_prepared(steps=260)
+        model = _tiny_model(prepared)
+        samples = {d: make_rollout_windows(prepared.test_panel, 6, 4, d)[0]
+                   for d in (1, 2, 3)}
+        return prepared, model, samples
+
+    @staticmethod
+    def _evaluate(rollouts, days, history=None):
+        prepared, model, samples = rollouts
+        return evaluate(model, samples[days], prepared.scaler,
+                        prepared.target_channel, days=days, t_future=4,
+                        history=history)
+
+    @pytest.mark.parametrize("done,days", [(0, 1), (1, 2), (2, 3), (1, 3)])
+    def test_continued_equals_rolled_from_day_one(self, rollouts, monkeypatch,
+                                                  done, days):
+        model = rollouts[1]
+        history = self._evaluate(rollouts, done).history if done else None
+        fresh = self._evaluate(rollouts, days)
+        calls = []
+
+        def predict(*args):
+            calls.append(args)
+            return type(model).predict(model, *args)
+
+        monkeypatch.setattr(model, "predict", predict)
+        got = self._evaluate(rollouts, days, history)
+        assert len(calls) == days - done
+        for name in ("mae", "rmse", "mape", "mre", "count"):
+            a, b = getattr(got, name), getattr(fresh, name)
+            assert np.array(a).tobytes() == np.array(b).tobytes(), name
+        assert got.history.tobytes() == fresh.history.tobytes()
+        assert got.history.shape == (len(rollouts[2][days]), 2, 6 + 4 * days, 1)
+
+    def test_fewer_windows_than_samples(self, rollouts):
+        short = self._evaluate(rollouts, 1).history[:5]
+        with pytest.raises(ValueError, match="5 windows, fewer than the 13"):
+            self._evaluate(rollouts, 2, short)
+
+    @pytest.mark.parametrize("steps", [2, 5, 8])
+    def test_length_off_the_day_grid(self, rollouts, steps):
+        history = self._evaluate(rollouts, 1).history[:, :, :steps]
+        with pytest.raises(ValueError, match=f"spans {steps} steps"):
+            self._evaluate(rollouts, 2, history)
+
+    def test_as_many_days_as_asked(self, rollouts):
+        history = self._evaluate(rollouts, 2).history
+        with pytest.raises(ValueError, match=r"spans 14 steps, not 6 \+ k\*4 with k < 2"):
+            self._evaluate(rollouts, 2, history)
+
+    def test_history_of_other_windows(self, rollouts):
+        history = self._evaluate(rollouts, 1).history
+        for other in (history[1:], history + 1.0):
+            with pytest.raises(ValueError, match="does not start with"):
+                self._evaluate(rollouts, 2, other)
