@@ -17,8 +17,16 @@ Memory contract:
   reads ``None``).
 - ``Tape.backward`` releases the adjoint of each intermediate as soon as
   the VJP of the node producing it has consumed it.
+- ``cond_embed`` keeps its inputs ``x`` and ``e``, the weights and, in
+  training mode, a ``bool`` dropout keep-mask (one byte per output
+  element); its VJP recomputes the pre-activation and the activation.
 - ``moe_combine`` keeps only its inputs and output on the tape; its VJP
   recomputes the K expert projections.
+- Both walk the flattened leading rows in chunks of at most ``BLOCK``
+  elements (128 KiB), in the forward and in the VJP, so beyond their
+  inputs, output and input grads they allocate a few chunk-sized
+  transients at a time. Unrecorded (``predict``, ``eval``, validation),
+  they keep nothing.
 - ``gru_gcn_sequence`` keeps nothing per step when no tape records it.
   Recorded, it keeps ``A x`` and ``s = A x W_s`` for all T steps plus the
   state h and the gates z, r and candidate c of each step; its VJP
@@ -27,6 +35,7 @@ Memory contract:
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from typing import Callable, Optional, Sequence
@@ -271,26 +280,14 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), out, vjp)
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.values, 0.0)
-    mask = x.values > 0.0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _record("relu", (x,), out, vjp)
+def _relu_rule(v: np.ndarray):
+    mask = v > 0.0
+    return np.maximum(v, 0.0), lambda g: g * mask
 
 
-def leaky_relu(x, slope: float = 0.01) -> Tensor:
-    x = as_tensor(x)
-    out = np.where(x.values > 0.0, x.values, slope * x.values)
-    factor = np.where(x.values > 0.0, 1.0, slope)
-
-    def vjp(g):
-        return (g * factor,)
-
-    return _record("leaky-relu", (x,), out, vjp)
+def _leaky_relu_rule(v: np.ndarray, slope: float = 0.01):
+    factor = np.where(v > 0.0, 1.0, slope)
+    return np.where(v > 0.0, v, slope * v), lambda g: g * factor
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -305,24 +302,48 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, 1.0 / d, e / d)
 
 
-def sigmoid(x) -> Tensor:
+def _sigmoid_rule(v: np.ndarray):
+    out = _sigmoid(v)
+    return out, lambda g: g * out * (1.0 - out)
+
+
+def _tanh_rule(v: np.ndarray):
+    out = np.tanh(v)
+    return out, lambda g: g * (1.0 - out * out)
+
+
+# Each activation as one (value, VJP) rule: ``rule(v)`` returns the value and
+# the map from its adjoint to the adjoint of ``v``. The primitives and the
+# fused ``cond_embed`` node share these, so they agree bit for bit.
+ACTIVATIONS = {
+    "relu": _relu_rule,
+    "identity": lambda v: (v, lambda g: g),
+    "tanh": _tanh_rule,
+    "sigmoid": _sigmoid_rule,
+    "leaky-relu": _leaky_relu_rule,
+}
+
+
+def _unary(op: str, rule, x) -> Tensor:
     x = as_tensor(x)
-    out = _sigmoid(x.values)
+    out, vjp = rule(x.values)
+    return _record(op, (x,), out, lambda g: (vjp(g),))
 
-    def vjp(g):
-        return (g * out * (1.0 - out),)
 
-    return _record("sigmoid", (x,), out, vjp)
+def relu(x) -> Tensor:
+    return _unary("relu", _relu_rule, x)
+
+
+def leaky_relu(x, slope: float = 0.01) -> Tensor:
+    return _unary("leaky-relu", lambda v: _leaky_relu_rule(v, slope), x)
+
+
+def sigmoid(x) -> Tensor:
+    return _unary("sigmoid", _sigmoid_rule, x)
 
 
 def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.values)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _record("tanh", (x,), out, vjp)
+    return _unary("tanh", _tanh_rule, x)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -342,8 +363,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 def dropout(x, keep_prob: float, rng: np.random.Generator, train: bool) -> Tensor:
     """Inverted dropout: eval is the identity, train scales survivors by 1/p."""
     x = as_tensor(x)
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
+    _check_keep_prob(keep_prob)
     if not train or keep_prob == 1.0:
         out = x.values.copy()
 
@@ -358,6 +378,11 @@ def dropout(x, keep_prob: float, rng: np.random.Generator, train: bool) -> Tenso
         return (g * mask,)
 
     return _record("dropout", (x,), out, vjp)
+
+
+def _check_keep_prob(keep_prob: float) -> None:
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
 
 
 def mean(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
@@ -542,13 +567,142 @@ def _sorted_sum(terms: list) -> np.ndarray:
     return out
 
 
+BLOCK = 2 ** 14  # elements of the (rows, T, H) block a fused node handles at once
+
+
+def _row_chunks(rows: int, row_size: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``row_size`` elements, each
+    spanning at most ``BLOCK`` elements (at least one row, at least one slice)."""
+    step = max(1, BLOCK // row_size)
+    return [slice(lo, lo + step) for lo in range(0, max(rows, 1), step)]
+
+
+def _by_chunks(fn, chunks: list[slice], shape: tuple) -> np.ndarray:
+    """``fn(c)`` of every chunk ``c``, gathered into one array of ``shape``.
+
+    One chunk's result is returned as it is, so a node that fits in one
+    chunk allocates no more than the composition it replaces.
+    """
+    if len(chunks) == 1:
+        return fn(chunks[0])
+    out = np.empty(shape)
+    for c in chunks:
+        out[c] = fn(c)
+    return out
+
+
+class _RowSum:
+    """``_sum_to_shape`` over leading axes, of an array given in row blocks.
+
+    numpy sums the leading axes of a C-contiguous array as a left fold over
+    its rows, starting from +0, so each block continues the fold with the
+    running sum as its row 0. Where a row is a single element numpy sums
+    pairwise instead, so those blocks are kept and summed once at the end.
+    Without leading axes (``leading`` false) nothing is summed, and the one
+    row is returned as it is, -0 included.
+    """
+
+    def __init__(self, leading: bool):
+        self.leading = leading
+        self.acc = None
+        self.singles = []
+
+    def add(self, rows: np.ndarray) -> None:
+        if not self.leading:
+            self.acc = rows[0]
+        elif math.prod(rows.shape[1:]) == 1:
+            self.singles.append(rows)
+        elif self.acc is None:
+            self.acc = rows.sum(axis=0)
+        else:
+            self.acc = np.concatenate([self.acc[None], rows]).sum(axis=0)
+
+    def total(self) -> np.ndarray:
+        return np.concatenate(self.singles).sum(axis=0) if self.singles else self.acc
+
+
+def cond_embed(x, e, w_x, w_e, b, activation: str = "relu", keep_prob: float = 1.0,
+               rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Conditional embedding ``Dropout(Act(x @ w_x + e @ w_e + b))`` as one node.
+
+    ``x`` (..., T, F) and ``e`` (..., T, F_exo) share their leading shape;
+    ``activation`` names an ``ACTIVATIONS`` rule. With an ``rng``, inverted
+    dropout draws a ``bool`` keep-mask of the whole output shape at once, as
+    ``dropout`` does, and scales survivors by ``1 / keep_prob``.
+
+    The value and every gradient equal the matmul/add/activation/dropout
+    composition bit for bit. The tape keeps the inputs and the keep-mask;
+    the backward recomputes the pre-activation. Both passes walk the
+    flattened leading rows in ``BLOCK``-sized chunks: each op is row-local
+    except the weight and bias grads, whose leading-axis sums ``_RowSum``
+    folds across chunks in the composition's order.
+    """
+    # Inputs in the order the composition's backward reached them.
+    ins = tuple(as_tensor(t) for t in (b, e, w_e, x, w_x))
+    b, e, w_e, x, w_x = ins
+    xv, ev = x.values, e.values
+    if xv.shape[:-1] != ev.shape[:-1]:
+        raise ValueError(f"endogenous shape {xv.shape} and exogenous shape {ev.shape} "
+                         "differ before the feature axis")
+    rule = ACTIVATIONS[activation]
+    lead, steps, width = xv.shape[:-2], xv.shape[-2], w_x.values.shape[-1]
+    rows = math.prod(lead)
+    xr = xv.reshape((rows, steps, xv.shape[-1]))
+    er = ev.reshape((rows, steps, ev.shape[-1]))
+    keep = None
+    if rng is not None:
+        _check_keep_prob(keep_prob)
+        keep = (rng.random(lead + (steps, width)) < keep_prob).reshape(rows, steps, width)
+    chunks = _row_chunks(rows, steps * width)
+
+    def act(c):
+        pre = np.matmul(xr[c], w_x.values)
+        pre += np.matmul(er[c], w_e.values)
+        pre += b.values
+        return rule(pre)
+
+    def forward(c):
+        a, _ = act(c)
+        return a if keep is None else a * (keep[c] / keep_prob)
+
+    out = _by_chunks(forward, chunks, (rows, steps, width)).reshape(lead + (steps, width))
+    tape = _active_tape()
+    need_e = tape is not None and _tracked(e, tape)
+    need_x = tape is not None and _tracked(x, tape)
+
+    def vjp(G):
+        # The VJPs of dropout, the activation, the two adds and the two
+        # matmuls, per chunk, as the composition's backward ran them.
+        G = G.reshape((rows, steps, width))
+        db, dw_e, dw_x = _RowSum(True), _RowSum(bool(lead)), _RowSum(bool(lead))
+        de = np.empty(er.shape) if need_e else None
+        dx = np.empty(xr.shape) if need_x else None
+        w_et, w_xt = (np.swapaxes(w.values, -1, -2) for w in (w_e, w_x))
+        for c in chunks:
+            g = G[c] if keep is None else G[c] * (keep[c] / keep_prob)
+            g = act(c)[1](g)
+            db.add(g.reshape(-1, width))
+            if need_e:
+                de[c] = np.matmul(g, w_et)
+            dw_e.add(np.matmul(np.swapaxes(er[c], -1, -2), g))
+            if need_x:
+                dx[c] = np.matmul(g, w_xt)
+            dw_x.add(np.matmul(np.swapaxes(xr[c], -1, -2), g))
+        return (db.total(), None if de is None else de.reshape(ev.shape), dw_e.total(),
+                None if dx is None else dx.reshape(xv.shape), dw_x.total())
+
+    return _record("cond-embed", ins, out, vjp)
+
+
 def moe_combine(x_tau, g, experts: Sequence) -> Tensor:
     """Gated expert mixture ``sum_k g[..., k:k+1] * (x_tau @ W_k)`` as one node.
 
     The K terms are summed order-canonically (see ``_sorted_sum``), so
     relabeling the experts together with their gate columns cannot change
     the output bits. The tape keeps only the inputs and the output: the
-    backward recomputes each projection ``x_tau @ W_k``.
+    backward recomputes each projection ``x_tau @ W_k``. Both passes walk
+    the flattened leading rows in ``BLOCK``-sized chunks, folding the expert
+    grads across chunks with ``_RowSum``.
     """
     x_tau, g = as_tensor(x_tau), as_tensor(g)
     ws = [as_tensor(w) for w in experts]
@@ -556,31 +710,48 @@ def moe_combine(x_tau, g, experts: Sequence) -> Tensor:
     if gv.shape[-1] != len(ws) or gv.shape[:-1] != xv.shape[:-1]:
         raise ValueError(f"gate shape {gv.shape} does not fit input {xv.shape} "
                          f"and {len(ws)} experts")
-    terms = []
-    for k, w in enumerate(ws):
-        t = np.matmul(xv, w.values)
-        t *= gv[..., k:k + 1]
-        terms.append(t)
-    out = terms[0] + 0.0 if len(terms) == 1 else _sorted_sum(terms)
+    lead, steps = xv.shape[:-2], xv.shape[-2]
+    rows = math.prod(lead)
+    xr = xv.reshape((rows,) + xv.shape[-2:])
+    gr = gv.reshape((rows, steps, len(ws)))
+    chunks = _row_chunks(rows, steps * xv.shape[-1])
+
+    def forward(c):
+        terms = []
+        for k, w in enumerate(ws):
+            t = np.matmul(xr[c], w.values)
+            t *= gr[c, :, k:k + 1]
+            terms.append(t)
+        return terms[0] + 0.0 if len(terms) == 1 else _sorted_sum(terms)
+
+    out = _by_chunks(forward, chunks, (rows, steps, ws[0].values.shape[-1]))
+    out = out.reshape(lead + out.shape[1:])
 
     def vjp(G):
         # The VJPs of the per-expert slice -> matmul -> mul composition this
         # node replaces, in the order its backward ran them, so every
         # gradient keeps its bits.
-        xt = np.swapaxes(xv, -1, -2)
-        dx, dg, dws = None, np.empty(gv.shape), []
-        for k in reversed(range(len(ws))):
-            wv = ws[k].values
-            gy = np.matmul(xv, wv)
-            gy *= G
-            dg[..., k:k + 1] = _sum_to_shape(gy, dg.shape[:-1] + (1,))
-            gp = G * gv[..., k:k + 1]
-            ga = np.matmul(gp, np.swapaxes(wv, -1, -2))
-            dx = ga if dx is None else dx + ga
-            dws.append(_sum_to_shape(np.matmul(xt, gp), wv.shape))
+        G = G.reshape((rows, steps, -1))
+        dx, dg = np.empty(xr.shape), np.empty(gr.shape)
+        sums = [_RowSum(bool(lead)) for _ in ws]
+        for c in chunks:
+            xc, xt, Gc = xr[c], np.swapaxes(xr[c], -1, -2), G[c]
+            for k in reversed(range(len(ws))):
+                wv = ws[k].values
+                gy = np.matmul(xc, wv)
+                gy *= Gc
+                dg[c, :, k:k + 1] = _sum_to_shape(gy, gy.shape[:-1] + (1,))
+                gp = Gc * gr[c, :, k:k + 1]
+                ga = np.matmul(gp, np.swapaxes(wv, -1, -2))
+                if k == len(ws) - 1:
+                    dx[c] = ga
+                else:
+                    dx[c] += ga
+                sums[k].add(np.matmul(xt, gp))
         if len(ws) > 1:
             dg += 0.0  # as the composition's sum of zero-padded slice adjoints: -0 -> +0
-        return (dx, dg, *dws)
+        return (dx.reshape(xv.shape), dg.reshape(gv.shape),
+                *(s.total() for s in reversed(sums)))
 
     # Experts enter last to first, as the backward visits them, so a tensor
     # passed as several experts sums its grads in the composition's order.

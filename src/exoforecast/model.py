@@ -65,6 +65,10 @@ class ModelConfig:
     use_balancer: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.keep_prob <= 1.0:  # also false for nan
+            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

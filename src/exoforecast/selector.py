@@ -2,10 +2,13 @@
 
 Endogenous history is projected into an exogenous-conditioned latent space
 (one space per exogenous type), then K expert projections are convexly
-recombined per node and step by a dense softmax gate. The recombination
-is one fused tape node (``autodiff.moe_combine``): its backward recomputes
-the expert projections, and its order-canonical sum, sorted by a min/max
-network, makes the output invariant to relabeling the experts.
+recombined per node and step by a dense softmax gate. A branch records four
+tape nodes: the fused conditional embedding (``autodiff.cond_embed``), the
+gate's matmul and softmax, and the fused recombination
+(``autodiff.moe_combine``). Both fused nodes keep their inputs, not their
+activations, recompute in backward and walk the rows in cache-sized chunks;
+the recombination's order-canonical sum, sorted by a min/max network, makes
+the output invariant to relabeling the experts.
 """
 
 from __future__ import annotations
@@ -17,15 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-ACTIVATIONS = {
-    "relu": ad.relu,
-    "identity": lambda t: t,
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "leaky-relu": ad.leaky_relu,
-}
-
 
 @dataclass
 class CondEmbedParams:
@@ -61,7 +55,7 @@ class ExpertBank:
 
 def init_cond_embed(f_in: int, f_exo: int, hidden: int, rng: np.random.Generator,
                     activation: str = "relu", keep_prob: float = 0.9) -> CondEmbedParams:
-    if activation not in ACTIVATIONS:
+    if activation not in ad.ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     return CondEmbedParams(
         w_x=ad.uniform_parameter(rng, (f_in, hidden), f_in),
@@ -102,6 +96,9 @@ def conditional_embed(x: Tensor, e: Tensor, params: CondEmbedParams, *,
 
     When the two streams differ in length the shorter one is zero-padded
     along time: at the head for the past branch, at the tail for the future.
+    The rest is one ``autodiff.cond_embed`` node, which keeps ``x``, ``e``
+    and, in training mode, the ``bool`` dropout mask, and recomputes the
+    pre-activation in backward.
     """
     if x.shape[-1] != params.w_x.shape[0]:
         raise ValueError(
@@ -109,16 +106,14 @@ def conditional_embed(x: Tensor, e: Tensor, params: CondEmbedParams, *,
     if e.shape[-1] != params.w_e.shape[0]:
         raise ValueError(
             f"exogenous feature dim {e.shape[-1]} != {params.w_e.shape[0]}")
+    dropout = train and params.keep_prob < 1.0
+    if dropout and rng is None:
+        raise ValueError("training-mode dropout needs an explicit rng")
     length = max(x.shape[-2], e.shape[-2])
     x = _pad_time(x, length, pad_side)
     e = _pad_time(e, length, pad_side)
-    pre = ad.add(ad.add(ad.matmul(x, params.w_x), ad.matmul(e, params.w_e)), params.b)
-    act = ACTIVATIONS[params.activation](pre)
-    if train and params.keep_prob < 1.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an explicit rng")
-        return ad.dropout(act, params.keep_prob, rng, train=True)
-    return act
+    return ad.cond_embed(x, e, params.w_x, params.w_e, params.b, params.activation,
+                         params.keep_prob, rng if dropout else None)
 
 
 def moe_gate(x_tau: Tensor, gate: Tensor) -> Tensor:

@@ -2,7 +2,10 @@
 
 import gc
 import importlib.util
+import math
+import tracemalloc
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +388,67 @@ def test_sorted_sum_is_np_sort_then_left_fold(terms, data):
         for permuted in (terms, [terms[i] for i in order]):
             got = ad._sorted_sum([t.copy() for t in permuted])
             assert got.tobytes() == want.tobytes()
+
+
+_ROW_TERM = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]))
+
+
+@st.composite
+def _row_blocks(draw):
+    """An array of leading rows and kept axes, and where to cut its rows."""
+    lead = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    kept = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=4))
+    g = draw(hnp.arrays(np.float64, lead + kept, elements=_ROW_TERM))
+    rows = math.prod(lead)
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1)))) if rows > 1 else []
+    return g, kept, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_blocks())
+def test_row_sum_of_blocks_is_sum_to_shape(case):
+    """Folding the leading rows block by block, at any cut points, gives the
+    bits of one ``_sum_to_shape`` over the whole array, signed zeros and
+    single-element rows (which numpy sums pairwise) included."""
+    g, kept, cuts = case
+    fold = ad._RowSum(leading=True)
+    for block in np.split(g.reshape((-1,) + kept), cuts):
+        fold.add(block)
+    assert fold.total().tobytes() == ad._sum_to_shape(g, kept).tobytes()
+
+
+def test_row_sum_without_leading_axes_keeps_the_row():
+    row = np.array([[-0.0, 1.0]])
+    fold = ad._RowSum(leading=False)
+    fold.add(row[None])
+    assert fold.total().tobytes() == ad._sum_to_shape(row, row.shape).tobytes()
+
+
+@pytest.mark.parametrize("node", ["cond-embed", "moe-combine"])
+def test_untaped_fused_node_holds_chunk_sized_transients(node):
+    """Beyond its output, an untaped fused node allocates a few ``BLOCK``-sized
+    chunks at a time: less than one more (rows, T, H) array (12 chunks here)."""
+    rng = np.random.default_rng(0)
+    rows, t, h, k = 256, 12, 64, 4
+    if node == "moe-combine":
+        ins = (Tensor(rng.normal(size=(rows, t, h))),
+               Tensor(rng.dirichlet(np.ones(k), size=(rows, t))),
+               [Tensor(rng.normal(size=(h, h))) for _ in range(k)])
+        fn = ad.moe_combine
+    else:
+        ins = tuple(Tensor(rng.normal(size=s)) for s in
+                    ((rows, t, 1), (rows, t, 3), (1, h), (3, h), (h,)))
+        fn = partial(ad.cond_embed, activation="sigmoid")
+    fn(*ins)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        out = fn(*ins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.values.nbytes < out.values.nbytes, peak
 
 
 def _masked_sigmoid(v):

@@ -236,6 +236,39 @@ class TestStaleConfig:
         assert ("TrainConfig" in err[0]) == (level == "train")
 
 
+class TestInvalidKeepProb:
+    @pytest.mark.parametrize("keep_prob", ["1.5", "nan", "0"])
+    def test_train_fails_with_one_line(self, synth_dir, tmp_path, capsys,
+                                       monkeypatch, keep_prob):
+        def fail(*args, **kwargs):
+            raise AssertionError("training started with an invalid keep_prob")
+        monkeypatch.setattr(cli, "train", fail)
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(synth_dir / "panel.csv"),
+                   "--schema", str(synth_dir / "panel.schema.json"),
+                   "--out", str(out), *TINY_TRAIN, "--keep-prob", keep_prob])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: keep_prob must be in (0, 1], got {float(keep_prob)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "corrupt-eval"])
+    def test_edited_config_fails_with_one_line(self, trained_dir, tmp_path, capsys,
+                                               command):
+        model_dir = tmp_path / "edited"
+        shutil.copytree(trained_dir, model_dir)
+        config = json.loads((model_dir / "config.json").read_text())
+        config["model"]["keep_prob"] = 1.5
+        (model_dir / "config.json").write_text(json.dumps(config))
+        rc = main([command, "--model-dir", str(model_dir),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {model_dir / 'config.json'}: "
+                       "keep_prob must be in (0, 1], got 1.5"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestAblatedRollout:
     def test_rollout_windows_are_masked(self, synth_dir, tmp_path, monkeypatch):
         seen = []

@@ -143,6 +143,17 @@ class TestForward:
         assert y_hat.shape == (2, 3, 1)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.1, 1.5, float("nan")])
+    def test_rejects_keep_prob_outside_unit_interval(self, keep_prob):
+        with pytest.raises(ValueError, match=r"keep_prob must be in \(0, 1\]"):
+            tiny_config(keep_prob=keep_prob)
+
+    @pytest.mark.parametrize("keep_prob", [1e-9, 0.5, 1.0])
+    def test_accepts_keep_prob_in_unit_interval(self, keep_prob):
+        assert tiny_config(keep_prob=keep_prob).keep_prob == keep_prob
+
+
 class TestStrategies:
     def test_degenerate_composition_single_backbone(self):
         # shared encoder + selector/balancer bypass + zero exogenous +

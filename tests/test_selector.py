@@ -1,12 +1,17 @@
 """Tests for conditional embedding and the mixture-of-experts selector."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from exoforecast import autodiff as ad
+from exoforecast import selector, training
+from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
+from exoforecast.data import SynthConfig, prepare_splits, synth_generate
+from exoforecast.model import ExoModel, ModelConfig
 from exoforecast.selector import (
     CondEmbedParams,
     ExpertBank,
@@ -17,6 +22,15 @@ from exoforecast.selector import (
     moe_select,
     select_stage,
 )
+from test_backbones import _assert_same_bytes
+
+CHUNK_ROWS = [1, 2, None]  # rows per chunk of a fused node; None keeps ad.BLOCK
+
+
+def _set_chunk(monkeypatch, rows, row_size):
+    """Make the fused nodes walk ``rows`` rows of ``row_size`` elements at a time."""
+    if rows is not None:
+        monkeypatch.setattr(ad, "BLOCK", rows * row_size)
 
 
 def embed_oracle(x, e, w_x, w_e, b, act):
@@ -309,6 +323,15 @@ class TestFusedMoe:
             np.testing.assert_array_equal(got_g, want_g)
             assert got_g.tobytes() == want_g.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros", "width-one"])
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_composition_across_chunks(self, kind, k, seed, chunk, monkeypatch):
+        """The oracle above, with the 6 rows walked ``chunk`` at a time."""
+        _set_chunk(monkeypatch, chunk, math.prod(_moe_case(kind, k, seed)[0].shape[-2:]))
+        self.test_matches_composition_bit_for_bit(kind, k, seed)
+
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_shared_expert_tensor(self, k):
         x, g, ws, r = _moe_case("random", k, 0)
@@ -356,3 +379,204 @@ class TestFusedMoe:
         assert "slice" not in ops[False] and "ordered-sum" not in ops[False]
         # gate matmul + softmax + the fused mixture, instead of 3K+1 nodes
         assert len(ops[False]) == len(ops[True]) + 3
+
+
+PRIMITIVE_ACTIVATIONS = {
+    "relu": ad.relu,
+    "identity": lambda t: t,
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+    "leaky-relu": ad.leaky_relu,
+}
+
+
+def composed_conditional_embed(x, e, params, *, pad_side="head", train=False,
+                               rng=None):
+    """Reference for ``conditional_embed``: the matmul/add/activation/dropout
+    composition that ``autodiff.cond_embed`` fuses (up to 6 tape nodes)."""
+    length = max(x.shape[-2], e.shape[-2])
+    x = selector._pad_time(x, length, pad_side)
+    e = selector._pad_time(e, length, pad_side)
+    pre = ad.add(ad.add(ad.matmul(x, params.w_x), ad.matmul(e, params.w_e)), params.b)
+    act = PRIMITIVE_ACTIVATIONS[params.activation](pre)
+    if train and params.keep_prob < 1.0:
+        return ad.dropout(act, params.keep_prob, rng, train=True)
+    return act
+
+
+def _embed_case(kind, seed=0):
+    """(x, e, w_x, w_e, b, output weights) for one cond-embed oracle case."""
+    rng = np.random.default_rng(seed)
+    lead = () if kind == "unbatched" else (3, 4)  # 12 rows: numpy sums H=1 pairwise
+    t, f, f_exo, h = 5, 2, 3, 1 if kind == "width-one" else 3
+    x, e = rng.normal(size=lead + (t, f)), rng.normal(size=lead + (t, f_exo))
+    w_x, w_e = rng.normal(size=(f, h)), rng.normal(size=(f_exo, h))
+    b, r = rng.normal(size=h), rng.normal(size=lead + (t, h))
+    if kind == "signed-zeros":  # ±0 inputs, weights, bias and output weights
+        x[..., 0, :] = -0.0
+        e[..., 0, :] = -0.0
+        e[..., 1, :] = 0.0
+        w_x[:, 1] = -0.0
+        w_e[:, 1] = 0.0
+        b[1] = -0.0
+        r[..., 2] = -0.0
+        r[..., 3, :] = 0.0
+    return x, e, w_x, w_e, b, r
+
+
+def _run_embed(fn, case, activation, train, keep_prob, tracked):
+    """Output, the adjoints reaching every input (through probe nodes, so
+    -0 shows), the leaf grads and the next draw of the dropout rng."""
+    x, e, w_x, w_e, b, r = case
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in (w_x, w_e, b)]
+    data = [Tensor(v.copy(), requires_grad=tracked) for v in (x, e)]
+    seen = {}
+
+    def probe(name, t):
+        def vjp(adj):
+            seen[name] = adj
+            return (adj,)
+        return ad._record("probe", (t,), t.values, vjp)
+
+    rng = np.random.default_rng(11)
+    with ad.Tape() as tape:
+        w_xp, w_ep, bp = (probe(n, t) for n, t in zip(("w_x", "w_e", "b"), leaves))
+        xp, ep = (probe(n, t) for n, t in zip(("x", "e"), data))
+        params = CondEmbedParams(w_x=w_xp, w_e=w_ep, b=bp, activation=activation,
+                                 keep_prob=keep_prob)
+        out = fn(xp, ep, params, train=train, rng=rng)
+        loss = ad.reduce_sum(ad.mul(out, Tensor(r)))
+    tape.backward(loss)
+    grads = [t.grad for t in leaves] + ([t.grad for t in data] if tracked else [])
+    return out.values, [seen[n] for n in sorted(seen)], grads, rng.random(3)
+
+
+class TestFusedCondEmbed:
+    """``autodiff.cond_embed`` against the primitive composition it replaces."""
+
+    @pytest.mark.parametrize("chunk", CHUNK_ROWS)
+    @pytest.mark.parametrize("kind", ["random", "signed-zeros", "width-one", "unbatched"])
+    @pytest.mark.parametrize("tracked", [True, False])
+    @pytest.mark.parametrize("keep_prob", [0.9, 1.0])
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("activation", sorted(ad.ACTIVATIONS))
+    def test_matches_composition_bit_for_bit(self, activation, train, keep_prob,
+                                             tracked, kind, chunk, monkeypatch):
+        case = _embed_case(kind)
+        _set_chunk(monkeypatch, chunk, math.prod(case[-1].shape[-2:]))
+        got = _run_embed(conditional_embed, case, activation, train, keep_prob, tracked)
+        want = _run_embed(composed_conditional_embed, case, activation, train,
+                          keep_prob, tracked)
+        _assert_same_bytes([got[0]], [want[0]])
+        assert len(got[1]) == (5 if tracked else 3)
+        for g, w in zip(got[1:], want[1:]):
+            _assert_same_bytes(g, w)
+
+    def test_gradcheck_reaches_every_input(self):
+        x, e, w_x, w_e, b, r = _embed_case("random", seed=2)
+        leaves = [Tensor(v) for v in (x, e, w_x, w_e, b)]
+
+        def f():
+            out = ad.cond_embed(*leaves, activation="tanh")
+            return ad.reduce_sum(ad.mul(out, Tensor(r)))
+
+        assert grad_check(f, leaves, step=1e-5) < 1e-4
+
+    def test_rejects_mismatched_leading_shapes(self):
+        x, e, w_x, w_e, b, _ = _embed_case("random")
+        with pytest.raises(ValueError, match="differ before the feature axis"):
+            ad.cond_embed(Tensor(x[:1]), Tensor(e), Tensor(w_x), Tensor(w_e), Tensor(b))
+
+    def test_untracked_inputs_record_nothing(self):
+        x, e, w_x, w_e, b, _ = _embed_case("random")
+        with ad.Tape() as tape:
+            out = ad.cond_embed(*(Tensor(v) for v in (x, e, w_x, w_e, b)),
+                                keep_prob=0.5, rng=np.random.default_rng(0))
+        assert tape.nodes == [] and out.tape is None
+
+
+def _paper_model(backbone, batch, seed=0):
+    """Model and inputs at N=24, T=24->24, H=64, K=4 with dropout on."""
+    cfg = ModelConfig(n_nodes=24, past_exo_dim=3, future_exo_dim=2, t_past=24,
+                      t_future=24, hidden=64, experts=4, backbone=backbone,
+                      graph_k=8, keep_prob=0.9, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    inputs = (rng.normal(size=(batch, 24, 24, 1)), rng.normal(size=(batch, 24, 24, 3)),
+              rng.normal(size=(batch, 24, 24, 2)))
+    return ExoModel(cfg, target_series=rng.normal(size=(24, 200))), inputs
+
+
+def _patch_composition(m):
+    m.setattr(selector, "conditional_embed", composed_conditional_embed)
+    m.setattr(ad, "moe_combine", composed_moe)
+
+
+class TestSelectStage:
+    @pytest.mark.parametrize("backbone,batch", [("grugcn", 4), ("mlp-mixer", 8)])
+    def test_paper_shape_step_matches_composition(self, backbone, batch, monkeypatch):
+        """One training step and a predict, with the select stage fused and
+        composed, by bytes; each fused node walks many chunks here."""
+        runs = {}
+        for name in ("fused", "composed"):
+            with monkeypatch.context() as m:
+                if name == "composed":
+                    _patch_composition(m)
+                model, inputs = _paper_model(backbone, batch)
+                with ad.Tape() as tape:
+                    y, _ = model.forward(*inputs, train=True,
+                                         rng=np.random.default_rng(5))
+                    loss = ad.mean(ad.mul(y, y))
+                tape.backward(loss)
+                grads = [t.grad for t in model.parameters().values()]
+                runs[name] = [y.values, model.predict(*inputs), *grads]
+        _assert_same_bytes(runs["fused"], runs["composed"])
+
+    def test_training_step_records_four_select_nodes_per_branch(self, monkeypatch):
+        prepared = prepare_splits(synth_generate(SynthConfig(nodes=3, steps=120, seed=0)),
+                                  t_past=6, t_future=4)
+        model = ExoModel(ModelConfig(
+            n_nodes=3, past_exo_dim=len(prepared.layout.past),
+            future_exo_dim=len(prepared.layout.future), t_past=6, t_future=4,
+            hidden=4, experts=2, backbone="mlp-mixer", mix_hidden=4, seed=1),
+            target_series=prepared.train_target_series)
+        recorded = []
+        stage = model_module.select_stage
+
+        def counting(*args, **kwargs):
+            tape = ad._active_tape()
+            base = len(tape.nodes) if tape is not None else None
+            out = stage(*args, **kwargs)
+            if base is not None:
+                recorded.append([node.op for node in tape.nodes[base:]])
+            return out
+
+        monkeypatch.setattr(model_module, "select_stage", counting)
+        training.train(model, prepared.train[:2], prepared.val[:2], prepared.scaler,
+                       prepared.target_channel,
+                       training.TrainConfig(epochs=1, batch_size=2, seed=0))
+        # two samples make two steps of one window, each with two branches;
+        # dropout is on (keep_prob 0.9) and folded into cond-embed
+        assert recorded == [["cond-embed", "matmul", "softmax-over-axis",
+                             "moe-combine"]] * 4
+
+    def test_untaped_predict_peaks_no_higher_than_composition(self, monkeypatch):
+        cfg = ModelConfig(n_nodes=8, past_exo_dim=3, future_exo_dim=2, t_past=12,
+                          t_future=12, hidden=32, experts=4, backbone="mlp-mixer",
+                          mix_hidden=4, keep_prob=1.0, seed=0)
+        model = ExoModel(cfg)
+        rng = np.random.default_rng(0)
+        inputs = (rng.normal(size=(16, 8, 12, 1)), rng.normal(size=(16, 8, 12, 3)),
+                  rng.normal(size=(16, 8, 12, 2)))
+        peaks = {}
+        for name in ("fused", "composed"):
+            with monkeypatch.context() as m:
+                if name == "composed":
+                    _patch_composition(m)
+                model.predict(*inputs)  # warm caches outside the measurement
+                tracemalloc.start()
+                try:
+                    model.predict(*inputs)
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks["fused"] <= peaks["composed"], peaks
