@@ -6,7 +6,7 @@ from .data import (
     Scaler,
     SynthConfig,
     VariableRole,
-    WindowSample,
+    Windows,
     chronological_split,
     corrupt_exogenous,
     encode_time,

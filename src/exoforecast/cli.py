@@ -249,12 +249,14 @@ def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
 
 
 def cmd_eval(args) -> int:
+    if args.corrupt_ratio is not None and args.corrupt is None:
+        raise ValueError("--corrupt-ratio needs --corrupt")
     model_dir = Path(args.model_dir)
     run, model, prepared = _load_run(model_dir)
     days = args.horizon_days or run.horizon_days
     _check_horizons(prepared, range(1, days + 1))
     rows = _evaluate(model, run, prepared, range(1, days + 1),
-                     corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio,
+                     corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio or 0.0,
                      corrupt_seed=args.corrupt_seed)
     _report(Path(args.out) if args.out else model_dir, "metrics", rows, [])
     return 0
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=None,
                    dest="horizon_days")
     p.add_argument("--corrupt", choices=("zero", "random"), default=None)
-    p.add_argument("--corrupt-ratio", type=float, default=0.0,
+    p.add_argument("--corrupt-ratio", type=float, default=None,
                    dest="corrupt_ratio")
     p.add_argument("--corrupt-seed", type=int, default=0, dest="corrupt_seed")
     p.set_defaults(func=cmd_eval)

@@ -4,11 +4,11 @@ A panel is an N-node x T-step x F-variable observation block. Every variable
 carries a role (target / past / future / date); date channels are always
 synthesized from timestamps, never ingested from files.
 
-Windows copy nothing per window: each split's target, past+date and
-future+date channels are copied once into read-only blocks, and every
-``WindowSample`` field is a basic-slice view of one of them. A split is
-windowed on its first use only, so a command that scores rollouts of the
-test panel windows no split at all.
+A split, a batch, a corrupted set and a rollout are all one ``Windows``.
+Cutting copies nothing per window: a segment's target, past+date and
+future+date channels are copied once into read-only blocks, and each field
+is a strided view of one. A split is windowed on its first use only, so a
+command that scores rollouts of the test panel windows no split at all.
 
 Data ablation zeroes channels once, in the scaled split panels
 (``drop_exogenous``), so every window cut from them is ablated alike.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
@@ -334,15 +334,23 @@ class FeatureLayout:
     future_is_date: np.ndarray
 
 
-@dataclass
-class WindowSample:
-    """One training instance cut from a panel segment."""
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Windows cut from one panel segment, stacked on a leading window axis.
+    ``len``, iteration and indexing go by window as in numpy: ``w[i]`` is one
+    window, ``w[a:b]`` a range, ``w[idx]`` a batch gathered by one copy each."""
 
-    x: np.ndarray         # (N, T_p, 1) endogenous history
-    e_past: np.ndarray    # (N, T_p, F_p + dates)
-    e_future: np.ndarray  # (N, T_f, F_f + dates)
-    y: np.ndarray         # (N, T_f, 1)
-    offset: int = 0
+    x: np.ndarray         # (n, N, T_p, 1) endogenous history
+    e_past: np.ndarray    # (n, N, T_p, F_p + dates); longer for a rollout
+    e_future: np.ndarray  # (n, N, T_f, F_f + dates)
+    y: np.ndarray         # (n, N, T_f, 1)
+    offset: np.ndarray    # (n,) first panel step of each window
+
+    def __len__(self) -> int:
+        return len(self.offset)
+
+    def __getitem__(self, idx) -> "Windows":
+        return Windows(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 def feature_layout(panel: Panel) -> FeatureLayout:
@@ -360,45 +368,17 @@ def feature_layout(panel: Panel) -> FeatureLayout:
     )
 
 
-def _window(panel: Panel, t_past: int, t_future: int, hist_span: int,
-            stride: int) -> tuple[list[WindowSample], FeatureLayout]:
-    """Windows whose history spans ``hist_span`` steps and horizon ``t_future``.
-
-    The target, past+date and future+date channels are each copied once into
-    a read-only (N, T, C) block; every window field is a basic slice of one.
-    """
-    date_idx = panel.indices_for(VariableRole.DATE)
-    target, past, future = (
-        np.take(panel.data, cols, axis=2)
-        for cols in ([panel.target_index],
-                     panel.indices_for(VariableRole.PAST) + date_idx,
-                     panel.indices_for(VariableRole.FUTURE) + date_idx))
-    for block in (target, past, future):
-        block.flags.writeable = False
-    samples = []
-    for o in range(0, panel.n_steps - t_past - t_future + 1, stride):
-        horizon = slice(o + t_past, o + t_past + t_future)
-        samples.append(WindowSample(
-            x=target[:, o:o + t_past],
-            e_past=past[:, o:o + hist_span],
-            e_future=future[:, horizon],
-            y=target[:, horizon],
-            offset=o,
-        ))
-    return samples, feature_layout(panel)
-
-
 def make_windows(panel: Panel, t_past: int, t_future: int,
-                 stride: int = 1) -> tuple[list[WindowSample], FeatureLayout]:
+                 stride: int = 1) -> tuple[Windows, FeatureLayout]:
     """Cut sliding windows; E_future spans exactly the target horizon.
 
-    Windows are read-only views into per-split blocks, not copies: callers
-    that change a window's values copy it first.
+    The windows are read-only views into per-split blocks, not copies:
+    callers that change their values copy them first.
     """
     if panel.n_steps < t_past + t_future:
         raise ValueError(
             f"segment length {panel.n_steps} shorter than {t_past}+{t_future}")
-    return _window(panel, t_past, t_future, t_past, stride)
+    return make_rollout_windows(panel, t_past, t_future, 1, stride)
 
 
 def check_rollout_length(panel: Panel, t_past: int, t_future: int, days: int) -> None:
@@ -411,58 +391,76 @@ def check_rollout_length(panel: Panel, t_past: int, t_future: int, days: int) ->
 
 
 def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
-                         stride: int = 1) -> tuple[list[WindowSample], FeatureLayout]:
+                         stride: int = 1) -> tuple[Windows, FeatureLayout]:
     """Windows for multi-day rollout: exogenous blocks extended over all days.
 
     e_past covers [o, o + t_past + (days-1)*t_future) so each rolled day can
     read the true past-exogenous values that have become observable by then;
-    e_future and y cover the full days*t_future horizon. Like
-    ``make_windows``, every field is a read-only view.
+    e_future and y cover the full days*t_future horizon. Every field is a
+    read-only view whose window axis steps ``stride`` steps through a block.
     """
     check_rollout_length(panel, t_past, t_future, days)
-    return _window(panel, t_past, days * t_future,
-                   t_past + (days - 1) * t_future, stride)
+    date_idx = panel.indices_for(VariableRole.DATE)
+    target, past, future = (
+        np.take(panel.data, cols, axis=2)
+        for cols in ([panel.target_index],
+                     panel.indices_for(VariableRole.PAST) + date_idx,
+                     panel.indices_for(VariableRole.FUTURE) + date_idx))
+    horizon = days * t_future
+    offset = np.arange(0, panel.n_steps - t_past - horizon + 1, stride)
+
+    def cut(block: np.ndarray, start: int, span: int) -> np.ndarray:
+        # not sliding_window_view: its .base hides the block from byte counts
+        block.flags.writeable = False
+        n_stride, t_stride, c_stride = block.strides
+        return np.ndarray((len(offset), block.shape[0], span, block.shape[2]),
+                          block.dtype, buffer=block, offset=start * t_stride,
+                          strides=(stride * t_stride, n_stride, t_stride, c_stride))
+
+    windows = Windows(x=cut(target, 0, t_past),
+                      e_past=cut(past, 0, t_past + horizon - t_future),
+                      e_future=cut(future, t_past, horizon),
+                      y=cut(target, t_past, horizon), offset=offset)
+    return windows, feature_layout(panel)
 
 
 # ---------------------------------------------------------------------------
 # Corruption
 # ---------------------------------------------------------------------------
 
-def corrupt_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
+def corrupt_exogenous(samples: Windows, layout: FeatureLayout,
                       strategy: str, ratio: float, seed: int,
-                      include_date: bool = False) -> list[WindowSample]:
+                      include_date: bool = False) -> Windows:
     """Randomly replace exogenous entries with zeros or standard-normal draws.
 
-    Each entry is replaced independently with probability ``ratio``. Date
-    channels are untouched unless ``include_date``; targets never change.
+    Each entry is replaced independently with probability ``ratio``, drawn
+    window by window, past block before future block. Date channels are
+    untouched unless ``include_date``; targets never change.
     """
     if strategy not in ("zero", "random"):
         raise ValueError(f"unknown corruption strategy {strategy!r}")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     if ratio == 0.0:
-        return [replace(s) for s in samples]
+        return samples
     rng = np.random.default_rng(seed)
     past_cols = np.ones(len(layout.past), bool) if include_date else ~layout.past_is_date
     fut_cols = np.ones(len(layout.future), bool) if include_date else ~layout.future_is_date
-    out = []
-    for s in samples:
-        e_past = s.e_past.copy()
-        e_future = s.e_future.copy()
-        for block, cols in ((e_past, past_cols), (e_future, fut_cols)):
+    e_past, e_future = samples.e_past.copy(), samples.e_future.copy()
+    for i in range(len(samples)):
+        for block, cols in ((e_past[i], past_cols), (e_future[i], fut_cols)):
             if not cols.any():
                 continue
             target = block[:, :, cols]
             hit = rng.random(target.shape) < ratio
             repl = np.zeros(target.shape) if strategy == "zero" else rng.standard_normal(target.shape)
             block[:, :, cols] = np.where(hit, repl, target)
-        out.append(replace(s, e_past=e_past, e_future=e_future))
-    return out
+    return replace(samples, e_past=e_past, e_future=e_future)
 
 
-def mask_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
+def mask_exogenous(samples: Windows, layout: FeatureLayout,
                    use_past: bool = True, use_future: bool = True,
-                   use_date: bool = True) -> list[WindowSample]:
+                   use_date: bool = True) -> Windows:
     """Zero out whole exogenous groups in windows, as ``drop_exogenous`` does."""
     past_kill = np.zeros(len(layout.past), bool)
     fut_kill = np.zeros(len(layout.future), bool)
@@ -473,16 +471,10 @@ def mask_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
     if not use_date:
         past_kill |= layout.past_is_date
         fut_kill |= layout.future_is_date
-    if not past_kill.any() and not fut_kill.any():
-        return [replace(s) for s in samples]
-    out = []
-    for s in samples:
-        e_past = s.e_past.copy()
-        e_future = s.e_future.copy()
-        e_past[:, :, past_kill] = 0.0
-        e_future[:, :, fut_kill] = 0.0
-        out.append(replace(s, e_past=e_past, e_future=e_future))
-    return out
+    e_past, e_future = samples.e_past.copy(), samples.e_future.copy()
+    e_past[..., past_kill] = 0.0
+    e_future[..., fut_kill] = 0.0
+    return replace(samples, e_past=e_past, e_future=e_future)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +485,11 @@ def mask_exogenous(samples: Sequence[WindowSample], layout: FeatureLayout,
 class PreparedData:
     """Scaled chronological split panels plus their bookkeeping.
 
-    ``train``, ``val`` and ``test`` are each split's ``make_windows``,
-    built from its panel on first read and kept: read-only views into one
-    set of blocks per split, whose memory grows with the split's length, not
-    with its number of windows. A split that is never read is never
-    windowed; ``dataclasses.replace`` starts with none built.
+    ``train``, ``val`` and ``test`` are each split's ``make_windows``
+    ``Windows``, built from its panel on first read and kept: read-only
+    views into one set of blocks per split, whose memory grows with the
+    split's length, not with its number of windows. A split that is never
+    read is never windowed; ``dataclasses.replace`` starts with none built.
     """
 
     layout: FeatureLayout
@@ -510,15 +502,15 @@ class PreparedData:
     t_future: int
 
     @functools.cached_property
-    def train(self) -> list[WindowSample]:
+    def train(self) -> Windows:
         return make_windows(self.train_panel, self.t_past, self.t_future)[0]
 
     @functools.cached_property
-    def val(self) -> list[WindowSample]:
+    def val(self) -> Windows:
         return make_windows(self.val_panel, self.t_past, self.t_future)[0]
 
     @functools.cached_property
-    def test(self) -> list[WindowSample]:
+    def test(self) -> Windows:
         return make_windows(self.test_panel, self.t_past, self.t_future)[0]
 
     @property

@@ -66,6 +66,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("t_past", "t_future", "hidden", "experts", "mix_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.keep_prob <= 1.0:  # also false for nan
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
 

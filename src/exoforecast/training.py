@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import Scaler, WindowSample
+from .data import Scaler, Windows
 from .model import ExoModel
 
 MAPE_GUARD = 1e-8
@@ -73,10 +73,13 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr_min >= 0.0:  # also true for nan
+            raise ValueError(f"lr_min must be >= 0, got {self.lr_min}")
         if self.lr_min >= self.lr_max:
             raise ValueError("lr_min must be below lr_max")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if self.loss not in ("mae", "mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -141,13 +144,11 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def stack_samples(samples: Sequence[WindowSample]):
-    """Stack windows into batched (B, N, T, F) arrays."""
-    x = np.stack([s.x for s in samples])
-    e_p = np.stack([s.e_past for s in samples])
-    e_f = np.stack([s.e_future for s in samples])
-    y = np.stack([s.y for s in samples])
-    return x, e_p, e_f, y
+def stack_samples(samples: Windows):
+    """The (B, N, T, F) arrays x, e_past, e_future and y of ``samples``, each
+    C-contiguous: a gathered batch as it is, a split's strided views copied."""
+    return tuple(np.ascontiguousarray(a) for a in
+                 (samples.x, samples.e_past, samples.e_future, samples.y))
 
 
 def _loss_tensor(pred: Tensor, target: np.ndarray, kind: str) -> Tensor:
@@ -166,14 +167,13 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def train(model: ExoModel, train_samples: Sequence[WindowSample],
-          val_samples: Sequence[WindowSample], scaler: Scaler,
-          target_channel: int, config: TrainConfig) -> TrainResult:
+def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
+          scaler: Scaler, target_channel: int, config: TrainConfig) -> TrainResult:
     """Mini-batch AdamW training with cosine annealing and early stopping.
 
-    Loss is computed on normalized targets; validation MAE is ``evaluate``'s,
-    in denormalized units, and the best-validation parameters are restored
-    on exit. Fully reproducible for a fixed (seed, config, data).
+    Each batch is one index-array gather of ``train_samples``; its loss is on
+    normalized targets. Validation MAE is ``evaluate``'s, denormalized, and the
+    best-validation parameters are restored on exit. Reproducible bit for bit.
     """
     if not train_samples:
         raise ValueError("no training samples")
@@ -193,8 +193,7 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, n, batch):
-            x, e_p, e_f, y = stack_samples(
-                [train_samples[i] for i in order[lo:lo + batch]])
+            x, e_p, e_f, y = stack_samples(train_samples[order[lo:lo + batch]])
             model.zero_grad()
             with Tape() as tape:
                 pred, _ = model.forward(x, e_p, e_f, train=True, rng=rng)
@@ -229,16 +228,16 @@ def train(model: ExoModel, train_samples: Sequence[WindowSample],
     return result
 
 
-def evaluate(model, samples: Sequence[WindowSample], scaler: Scaler,
+def evaluate(model, samples: Windows, scaler: Scaler,
              target_channel: int, days: int = 1,
              t_future: Optional[int] = None, *,
              history: Optional[np.ndarray] = None) -> MetricsRecord:
     """Denormalized metrics over a ``days``-day rollout; a 1-day forecast is
     a 1-day rollout, whose ``t_future`` defaults to the windows' horizon.
 
-    The samples come from ``make_rollout_windows`` (or, for one day, the
-    equal ``make_windows``): each day's forecast is appended to the
-    endogenous history while the true exogenous channels advance day by day.
+    The ``Windows`` come from ``make_rollout_windows`` (or, for one day, the
+    equal ``make_windows``): each day's forecast is appended to the endogenous
+    history while the true exogenous channels advance day by day.
 
     ``history`` continues a shorter rollout instead of starting at day 1:
     the ``history`` of the record a k-day ``evaluate`` returned, k < days,
