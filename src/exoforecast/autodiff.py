@@ -6,6 +6,9 @@ recording in reverse to accumulate adjoints into ``Tensor.grad``.
 Everything is double precision; gradient checking at tight relative
 tolerances is not reliable in float32.
 
+A trainable tensor is a field of a ``Params`` dataclass and is named by
+its field path; it is drawn by ``uniform_parameter`` or starts at zero.
+
 Memory contract:
 
 - ``.grad`` exists only on ``requires_grad`` tensors (the leaves a caller
@@ -35,6 +38,7 @@ Memory contract:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 import weakref
@@ -124,6 +128,22 @@ def uniform_parameter(rng: np.random.Generator, shape: tuple, fan_in: int) -> Te
     """Trainable leaf drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+class Params:
+    """Base of the parameter dataclasses. ``parameters(prefix)`` names each
+    ``Tensor`` field ``prefix.field`` and walks each nested ``Params`` field
+    under ``prefix.field``, in field order; other fields are not tensors."""
+
+    def parameters(self, prefix: str) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for f in dataclasses.fields(self):
+            value, name = getattr(self, f.name), f"{prefix}.{f.name}"
+            if isinstance(value, Tensor):
+                out[name] = value
+            elif isinstance(value, Params):
+                out.update(value.parameters(name))
+        return out
 
 
 class TapeNode:

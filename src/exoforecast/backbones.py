@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 
 BACKBONE_KINDS = ("grugcn", "mlp-mixer")
 
@@ -39,7 +39,7 @@ class BackboneSpec:
 
 
 @dataclass
-class ReadoutParams:
+class ReadoutParams(Params):
     """Two-stage head: lift a feature vector to per-step width-H features,
     then project each step to one channel."""
 
@@ -48,13 +48,9 @@ class ReadoutParams:
     w_out: Tensor   # (H, 1)
     b_out: Tensor   # (1,)
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w_seq": self.w_seq, f"{prefix}.b_seq": self.b_seq,
-                f"{prefix}.w_out": self.w_out, f"{prefix}.b_out": self.b_out}
-
 
 @dataclass
-class GruGcnParams:
+class GruGcnParams(Params):
     w_s: Tensor     # (H, H) spatial mixing weights
     w_z: Tensor     # (2H, H) update gate
     b_z: Tensor
@@ -64,28 +60,14 @@ class GruGcnParams:
     b_c: Tensor
     readout: ReadoutParams
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.w_s": self.w_s,
-               f"{prefix}.w_z": self.w_z, f"{prefix}.b_z": self.b_z,
-               f"{prefix}.w_r": self.w_r, f"{prefix}.b_r": self.b_r,
-               f"{prefix}.w_c": self.w_c, f"{prefix}.b_c": self.b_c}
-        out.update(self.readout.parameters(f"{prefix}.readout"))
-        return out
-
 
 @dataclass
-class MlpMixerParams:
+class MlpMixerParams(Params):
     w1: Tensor      # (T * H, M)
     b1: Tensor
     w2: Tensor      # (M, M)
     b2: Tensor
     readout: ReadoutParams
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-               f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-        out.update(self.readout.parameters(f"{prefix}.readout"))
-        return out
 
 
 def init_readout(feat_dim: int, t_future: int, hidden: int,

@@ -190,11 +190,11 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, model: ExoModel,
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = SynthConfig(nodes=args.nodes, steps=args.steps, lag=args.lag,
                       noise=args.noise, seed=args.seed,
                       past_coef=args.past_coef, future_coef=args.future_coef)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     panel = synth_generate(cfg)
     save_panel(panel, out_dir / "panel.csv", out_dir / "panel.schema.json")
     write_json(out_dir / "synth_config.json", dataclasses.asdict(cfg))

@@ -577,6 +577,11 @@ class SynthConfig:
     seasonal_amp: float = 0.5
     start: str = "2019-01-01T00:00:00"
 
+    def __post_init__(self):
+        for name, least in (("nodes", 1), ("steps", 2), ("lag", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
 
 def synth_generate(cfg: SynthConfig) -> Panel:
     """Generate a panel whose target mixes lagged past-exo, a future driver,

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 
 FUSION_STRATEGIES = ("context", "shared", "simple", "learnable", "attention")
 
 
 @dataclass
-class BalancerParams:
+class BalancerParams(Params):
     """Bottleneck MLP generating the balancing weight."""
 
     w1: Tensor   # (D, width) where D = T_f, or 1 in per-sample-scalar mode
@@ -30,22 +30,14 @@ class BalancerParams:
     b2: Tensor   # (D,)
     scalar: bool = False
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Params):
     """Shared projection maps for the bidirectional attention strategy."""
 
     w_q: Tensor  # (C, C)
     w_k: Tensor
     w_v: Tensor
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k,
-                f"{prefix}.w_v": self.w_v}
 
 
 def init_balancer(t_future: int, rng: np.random.Generator, reduction: int = 4,

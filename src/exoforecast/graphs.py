@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 
 GRAPH_KINDS = ("pearson", "adaptive", "adaptive-directed", "identity")
 
@@ -49,6 +49,8 @@ def pearson_topk_adjacency(series: np.ndarray, k: int = 8) -> np.ndarray:
     Ties break toward the lower node index so builds are reproducible.
     """
     n = series.shape[0]
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     corr = pearson_correlation(series)
@@ -76,11 +78,12 @@ def row_normalize(adj: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Graph:
+class Graph(Params):
     """N x N adjacency with construction provenance.
 
-    Adaptive kinds hold trainable embeddings and re-evaluate the matrix on
-    every call so it stays inside the active differentiation tape.
+    Static kinds (pearson-topk, identity) hold their adjacency. Adaptive
+    kinds hold trainable embeddings and re-evaluate the matrix on every call
+    so it stays inside the active differentiation tape.
     """
 
     provenance: str
@@ -91,9 +94,7 @@ class Graph:
     dst_embeddings: Optional[Tensor] = None
 
     def matrix(self) -> Tensor:
-        if self.provenance == "identity":
-            return Tensor(np.eye(self.n_nodes))
-        if self.provenance == "pearson-topk":
+        if self.adjacency is not None:
             return Tensor(self.adjacency)
         if self.provenance == "adaptive":
             return adaptive_adjacency(self.embeddings)
@@ -101,13 +102,8 @@ class Graph:
             return adaptive_adjacency_directed(self.src_embeddings, self.dst_embeddings)
         raise ValueError(f"unknown provenance {self.provenance!r}")
 
-    def parameters(self) -> dict[str, Tensor]:
-        if self.provenance == "adaptive":
-            return {"graph.embeddings": self.embeddings}
-        if self.provenance == "adaptive-directed":
-            return {"graph.src_embeddings": self.src_embeddings,
-                    "graph.dst_embeddings": self.dst_embeddings}
-        return {}
+    def parameters(self, prefix: str = "graph") -> dict[str, Tensor]:
+        return super().parameters(prefix)
 
 
 def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = None,
@@ -119,7 +115,7 @@ def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = N
     kinds initialize trainable embeddings from ``rng``.
     """
     if kind == "identity":
-        return Graph("identity", n_nodes)
+        return Graph("identity", n_nodes, adjacency=np.eye(n_nodes))
     if kind == "pearson":
         if target_series is None:
             raise ValueError("pearson graph needs the training target series")
@@ -128,16 +124,13 @@ def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = N
         return Graph("pearson-topk", n_nodes, adjacency=adj)
     if rng is None:
         rng = np.random.default_rng(0)
-    scale = 1.0 / np.sqrt(embed_dim)
+
+    def embedding() -> Tensor:
+        return ad.uniform_parameter(rng, (n_nodes, embed_dim), embed_dim)
+
     if kind == "adaptive":
-        emb = Tensor(rng.uniform(-scale, scale, size=(n_nodes, embed_dim)),
-                     requires_grad=True)
-        return Graph("adaptive", n_nodes, embeddings=emb)
+        return Graph("adaptive", n_nodes, embeddings=embedding())
     if kind == "adaptive-directed":
-        src = Tensor(rng.uniform(-scale, scale, size=(n_nodes, embed_dim)),
-                     requires_grad=True)
-        dst = Tensor(rng.uniform(-scale, scale, size=(n_nodes, embed_dim)),
-                     requires_grad=True)
-        return Graph("adaptive-directed", n_nodes, src_embeddings=src,
-                     dst_embeddings=dst)
+        return Graph("adaptive-directed", n_nodes, src_embeddings=embedding(),
+                     dst_embeddings=embedding())
     raise ValueError(f"unknown graph kind {kind!r}")

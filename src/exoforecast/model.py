@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("t_past", "t_future", "hidden", "experts", "mix_hidden"):
+        for name in ("t_past", "t_future", "hidden", "experts", "mix_hidden",
+                     "graph_k", "graph_embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.keep_prob <= 1.0:  # also false for nan
@@ -80,12 +81,19 @@ class ModelConfig:
         return config_from_dict(cls, d)
 
 
+# value types a field of each declared type accepts (a JSON array for a
+# tuple); a ``bool`` fits only a ``bool`` field
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str, dict: dict,
+               tuple: (list, tuple)}
+
+
 def config_from_dict(cls, d):
     """Build dataclass ``cls`` from ``d``, which must name every field exactly.
 
     An archived config always holds every field, so an unknown or missing
-    key means the file is stale or edited: that is a ``ValueError`` naming
-    the keys, not a ``TypeError`` from the constructor.
+    key, or a value whose JSON type does not fit the field's declared type,
+    means the file is stale or edited: that is a ``ValueError`` naming the
+    keys, not a ``TypeError`` from the constructor.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
@@ -96,6 +104,12 @@ def config_from_dict(cls, d):
             problems.append(f"{what} keys {', '.join(sorted(keys))}")
     if problems:
         raise ValueError(f"{cls.__name__} has " + " and ".join(problems))
+    for name, declared in get_type_hints(cls).items():
+        value = d[name]
+        if declared in _JSON_TYPES and (not isinstance(value, _JSON_TYPES[declared])
+                                        or isinstance(value, bool) != (declared is bool)):
+            raise ValueError(f"{cls.__name__} key {name} must be {declared.__name__}, "
+                             f"got {type(value).__name__}")
     return cls(**d)
 
 
@@ -142,38 +156,34 @@ class ExoModel:
         if not self.spec.needs_graph:
             return None  # graph-free backbone
         cfg = self.config
-        if static_adjacency is not None and cfg.graph_kind in ("pearson", "identity"):
-            provenance = "pearson-topk" if cfg.graph_kind == "pearson" else "identity"
+        if static_adjacency is not None:  # archived, already prepped
+            provenance = "pearson-topk" if cfg.graph_kind == "pearson" else cfg.graph_kind
             return Graph(provenance, cfg.n_nodes, adjacency=static_adjacency)
         graph = build_graph(cfg.graph_kind, cfg.n_nodes,
                             target_series=target_series, k=cfg.graph_k,
                             embed_dim=cfg.graph_embed_dim, rng=rng)
-        if graph.provenance in ("pearson-topk", "identity"):
-            base = graph.adjacency if graph.adjacency is not None \
-                else np.eye(cfg.n_nodes)
+        if graph.adjacency is not None:
             # conv prep: self-loops then signed row normalization
-            graph.adjacency = row_normalize(with_self_loops(base))
+            graph.adjacency = row_normalize(with_self_loops(graph.adjacency))
         return graph
 
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
+        """Every trainable tensor, named by its part's prefix plus its field
+        path (``backbone.p.readout.w_out``); a part the configuration
+        lacks is ``None`` and names nothing."""
         out: dict[str, Tensor] = {}
-        out.update(self.embed_p.parameters("embed.p"))
-        out.update(self.embed_f.parameters("embed.f"))
-        out.update(self.bank_p.parameters("select.p"))
-        out.update(self.bank_f.parameters("select.f"))
-        out.update(self.backbone_p.parameters("backbone.p"))
-        if self.backbone_f is not None:
-            out.update(self.backbone_f.parameters("backbone.f"))
-        if self.balancer is not None:
-            out.update(self.balancer.parameters("balancer"))
-        if self.learnable_w is not None:
-            out["fusion.w_init"] = self.learnable_w
-        if self.attention is not None:
-            out.update(self.attention.parameters("fusion.attention"))
-        if self.graph is not None:
-            out.update(self.graph.parameters())
+        for prefix, part in (
+                ("embed.p", self.embed_p), ("embed.f", self.embed_f),
+                ("select.p", self.bank_p), ("select.f", self.bank_f),
+                ("backbone.p", self.backbone_p), ("backbone.f", self.backbone_f),
+                ("balancer", self.balancer), ("fusion.w_init", self.learnable_w),
+                ("fusion.attention", self.attention), ("graph", self.graph)):
+            if isinstance(part, Tensor):
+                out[prefix] = part
+            elif part is not None:
+                out.update(part.parameters(prefix))
         return out
 
     def buffers(self) -> dict[str, np.ndarray]:

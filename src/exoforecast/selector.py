@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 
 @dataclass
-class CondEmbedParams:
+class CondEmbedParams(Params):
     """Affine projections fusing endogenous and exogenous streams into width H."""
 
     w_x: Tensor               # (F, H)
@@ -31,21 +31,14 @@ class CondEmbedParams:
     activation: str = "relu"
     keep_prob: float = 0.9
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w_x": self.w_x, f"{prefix}.w_e": self.w_e,
-                f"{prefix}.b": self.b}
-
 
 @dataclass
-class ExpertBank:
-    """K expert projections (H, H) and the gate map (H, K)."""
+class ExpertBank(Params):
+    """K expert projections (H, H), archived as ``expert{k}``, and the gate
+    map (H, K)."""
 
     experts: list[Tensor]
     gate: Tensor
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.experts)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.expert{k}": w for k, w in enumerate(self.experts)}

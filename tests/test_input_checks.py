@@ -1,0 +1,139 @@
+"""Malformed synth sizes, graph sizes and config value types fail with one line."""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from exoforecast import cli
+from exoforecast.cli import RunConfig, main
+from exoforecast.data import SynthConfig
+from exoforecast.graphs import build_graph, pearson_topk_adjacency
+from exoforecast.model import ModelConfig, config_from_dict
+from exoforecast.training import TrainConfig
+
+TINY = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
+        "--backbone", "grugcn", "--graph", "pearson", "--epochs", "1", "--batch", "64"]
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out", str(out), "--nodes", "3", "--steps", "200",
+                 "--seed", "5"]) == 0
+    return ["--data", str(out / "panel.csv"),
+            "--schema", str(out / "panel.schema.json")]
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory, data):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["train", *data, *TINY, "--graph-k", "1", "--out", str(out)]) == 0
+    return out
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    return err[0]
+
+
+class TestSynthSizes:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--nodes", "0", "nodes must be >= 1, got 0"),
+        ("--nodes", "-1", "nodes must be >= 1, got -1"),
+        ("--steps", "1", "steps must be >= 2, got 1"),
+        ("--steps", "0", "steps must be >= 2, got 0"),
+        ("--lag", "-2", "lag must be >= 0, got -2"),
+    ])
+    def test_bad_size_fails_before_writing(self, tmp_path, capsys, flag, value,
+                                           message):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), flag, value]) == 1
+        assert _one_error_line(capsys) == f"error: {message}"
+        assert not out.exists()
+
+    def test_smallest_sizes_are_accepted(self):
+        assert SynthConfig(nodes=1, steps=2, lag=0).steps == 2
+
+
+class TestGraphSizes:
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_train_rejects_graph_k_below_one(self, data, tmp_path, capsys,
+                                             monkeypatch, k):
+        def fail(*args, **kwargs):
+            raise AssertionError("training started with an invalid graph_k")
+
+        monkeypatch.setattr(cli, "train", fail)
+        out = tmp_path / "out"
+        assert main(["train", *data, *TINY, "--graph-k", k, "--out", str(out)]) == 1
+        assert _one_error_line(capsys) == f"error: graph_k must be >= 1, got {k}"
+        assert not out.exists()
+
+    def test_graph_command_rejects_negative_k(self, data, tmp_path, capsys):
+        out = tmp_path / "adj.tsv"
+        assert main(["graph", *data, "--t-past", "6", "--t-future", "4",
+                     "--graph-k", "-3", "--out", str(out)]) == 1
+        assert _one_error_line(capsys) == "error: k=-3 must be >= 0"
+        assert not out.exists()
+
+    def test_negative_k_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^k=-1 must be >= 0$"):
+            pearson_topk_adjacency(np.random.default_rng(0).normal(size=(4, 10)), k=-1)
+
+    def test_one_node_panel_keeps_k_zero(self):
+        series = np.random.default_rng(0).normal(size=(1, 10))
+        np.testing.assert_array_equal(pearson_topk_adjacency(series, k=0), np.zeros((1, 1)))
+        assert build_graph("pearson", 1, target_series=series, k=8).adjacency.shape == (1, 1)
+
+
+def _model_dict(**changes) -> dict:
+    d = ModelConfig(n_nodes=2, past_exo_dim=1, future_exo_dim=1).to_dict()
+    return {**d, **changes}
+
+
+class TestConfigTypes:
+    def test_json_round_trip_is_accepted(self):
+        for cls, d in ((ModelConfig, _model_dict()),
+                       (TrainConfig, json.loads(json.dumps(vars(TrainConfig()))))):
+            assert config_from_dict(cls, d) == cls(**d)
+
+    def test_float_field_takes_an_int(self):
+        assert config_from_dict(ModelConfig, _model_dict(keep_prob=1)).keep_prob == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("experts", True, "ModelConfig key experts must be int, got bool"),
+        ("keep_prob", False, "ModelConfig key keep_prob must be float, got bool"),
+        ("alpha_per_sample", "no", "ModelConfig key alpha_per_sample must be bool, got str"),
+        ("graph_kind", 1, "ModelConfig key graph_kind must be str, got int"),
+    ])
+    def test_wrong_type_is_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict(ModelConfig, _model_dict(**{key: value}))
+
+    def test_dict_field_takes_only_a_dict(self):
+        run = RunConfig(data="p.csv", schema="s.json", seed=0, t_past=6, t_future=4,
+                        horizon_days=1, use_past=True, use_future=True, use_date=True,
+                        model={}, train={}).to_dict()
+        with pytest.raises(ValueError, match="^RunConfig key model must be dict, got list$"):
+            config_from_dict(RunConfig, {**run, "model": []})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_past", "6", "RunConfig key t_past must be int, got str"),
+        ("use_past", "yes", "RunConfig key use_past must be bool, got str"),
+        ("data", 3, "RunConfig key data must be str, got int"),
+    ])
+    def test_edited_run_section_fails(self, run_dir, tmp_path, capsys, key, value,
+                                      message):
+        model_dir = tmp_path / "edited"
+        shutil.copytree(run_dir, model_dir)
+        config = json.loads((model_dir / "config.json").read_text())
+        config[key] = value
+        (model_dir / "config.json").write_text(json.dumps(config))
+        assert main(["eval", "--model-dir", str(model_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert _one_error_line(capsys) == \
+            f"error: {model_dir / 'config.json'}: {message}"
+        assert not (tmp_path / "out").exists()

@@ -1,0 +1,134 @@
+"""Every trainable tensor is named once, reachable, and archived.
+
+The expected names and shapes are written out per component here, not
+derived from the ``Params`` dataclasses they check.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from exoforecast.autodiff import Tensor
+from exoforecast.fusion import FUSION_STRATEGIES
+from exoforecast.graphs import GRAPH_KINDS
+from exoforecast.model import ExoModel, ModelConfig, load_model, save_model
+
+N, PAST, FUTURE, T_PAST, T_FUTURE, H, K, M, D = 3, 2, 3, 5, 4, 4, 3, 6, 2
+T_IN = max(T_PAST, T_FUTURE)
+
+COMBOS = ([("grugcn", fusion, graph) for fusion in FUSION_STRATEGIES
+           for graph in GRAPH_KINDS]
+          + [("mlp-mixer", fusion, "pearson") for fusion in FUSION_STRATEGIES])
+
+
+def _config(backbone, fusion, graph) -> ModelConfig:
+    return ModelConfig(n_nodes=N, past_exo_dim=PAST, future_exo_dim=FUTURE,
+                       t_past=T_PAST, t_future=T_FUTURE, hidden=H, experts=K,
+                       backbone=backbone, mix_hidden=M, graph_kind=graph,
+                       graph_k=1, graph_embed_dim=D, fusion=fusion, seed=3)
+
+
+def _model(backbone, fusion, graph) -> ExoModel:
+    series = np.random.default_rng(0).normal(size=(N, 40))
+    return ExoModel(_config(backbone, fusion, graph), target_series=series)
+
+
+def _embed(exo_dim):
+    return {"w_x": (1, H), "w_e": (exo_dim, H), "b": (H,)}
+
+
+def _select():
+    return {**{f"expert{k}": (H, H) for k in range(K)}, "gate": (H, K)}
+
+
+def _readout(feat_dim):
+    return {"readout.w_seq": (feat_dim, T_FUTURE * H), "readout.b_seq": (T_FUTURE * H,),
+            "readout.w_out": (H, 1), "readout.b_out": (1,)}
+
+
+def _backbone(kind):
+    if kind == "grugcn":
+        gates = {f"{w}_{g}": (2 * H, H) if w == "w" else (H,)
+                 for g in "zrc" for w in ("w", "b")}
+        return {"w_s": (H, H), **gates, **_readout(H)}
+    return {"w1": (T_IN * H, M), "b1": (M,), "w2": (M, M), "b2": (M,), **_readout(M)}
+
+
+FUSION_PARTS = {
+    # T_f = 4 and reduction 4 give the balancer its minimum width, 4
+    "context": {"balancer": {"w1": (T_FUTURE, 4), "b1": (4,), "w2": (4, T_FUTURE),
+                             "b2": (T_FUTURE,)}},
+    "shared": {},
+    "simple": {},
+    "learnable": {"fusion": {"w_init": (2,)}},
+    "attention": {"fusion.attention": {"w_q": (H, H), "w_k": (H, H), "w_v": (H, H)}},
+}
+GRAPH_PARTS = {
+    "pearson": {},
+    "identity": {},
+    "adaptive": {"graph": {"embeddings": (N, D)}},
+    "adaptive-directed": {"graph": {"src_embeddings": (N, D), "dst_embeddings": (N, D)}},
+}
+
+
+def _expected(backbone, fusion, graph) -> dict:
+    parts = {"embed.p": _embed(PAST), "embed.f": _embed(FUTURE),
+             "select.p": _select(), "select.f": _select(),
+             "backbone.p": _backbone(backbone), **FUSION_PARTS[fusion]}
+    if fusion != "shared":
+        parts["backbone.f"] = _backbone(backbone)
+    if backbone == "grugcn":
+        parts.update(GRAPH_PARTS[graph])
+    return {f"{prefix}.{name}": shape for prefix, names in parts.items()
+            for name, shape in names.items()}
+
+
+def _trainable(obj, seen=None) -> list:
+    """Every ``requires_grad`` tensor reachable from ``obj`` through object
+    attributes, dataclass fields, lists, tuples and dicts, once each."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj] if obj.requires_grad else []
+    if dataclasses.is_dataclass(obj):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, ExoModel):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [t for child in children for t in _trainable(child, seen)]
+
+
+@pytest.mark.parametrize("backbone, fusion, graph", COMBOS)
+class TestParameterNames:
+    def test_names_and_shapes(self, backbone, fusion, graph):
+        params = _model(backbone, fusion, graph).parameters()
+        assert {name: t.shape for name, t in params.items()} == \
+            _expected(backbone, fusion, graph)
+
+    def test_every_trainable_tensor_is_named_once(self, backbone, fusion, graph):
+        model = _model(backbone, fusion, graph)
+        named = [id(t) for t in model.parameters().values()]
+        assert len(named) == len(set(named))
+        reachable = _trainable(model)
+        assert reachable and sorted(named) == sorted(id(t) for t in reachable)
+
+    def test_archive_round_trip(self, backbone, fusion, graph, tmp_path):
+        model = _model(backbone, fusion, graph)
+        save_model(tmp_path / "model.bin", model)
+        loaded = load_model(tmp_path / "model.bin", model.config)
+        before, after = model.parameters(), loaded.parameters()
+        assert list(after) == list(before)
+        for name, tensor in before.items():
+            assert after[name].shape == tensor.shape
+            assert after[name].values.tobytes() == tensor.values.tobytes(), name
+        if model.graph is not None:
+            assert loaded.graph.matrix().values.tobytes() == \
+                model.graph.matrix().values.tobytes()

@@ -51,7 +51,8 @@ def _fail(*args, **kwargs):
     raise AssertionError("training started with an invalid setting")
 
 
-MODEL_FIELDS = ("t_past", "t_future", "hidden", "experts", "mix_hidden")
+MODEL_FIELDS = ("t_past", "t_future", "hidden", "experts", "mix_hidden",
+                "graph_k", "graph_embed_dim")
 
 
 class TestModelConfig:
@@ -125,6 +126,17 @@ class TestCommandLine:
         ("model", "mix_hidden", -1, "mix_hidden must be >= 1, got -1"),
         ("train", "epochs", 0, "epochs must be >= 1, got 0"),
         ("train", "lr_min", -0.5, "lr_min must be >= 0, got -0.5"),
+        ("model", "graph_k", -3, "graph_k must be >= 1, got -3"),
+        ("model", "graph_embed_dim", 0, "graph_embed_dim must be >= 1, got 0"),
+        ("model", "hidden", "4", "ModelConfig key hidden must be int, got str"),
+        ("model", "hidden", 4.0, "ModelConfig key hidden must be int, got float"),
+        ("model", "t_past", "6", "ModelConfig key t_past must be int, got str"),
+        ("model", "seed", True, "ModelConfig key seed must be int, got bool"),
+        ("model", "keep_prob", "0.9", "ModelConfig key keep_prob must be float, got str"),
+        ("model", "use_selector", 1, "ModelConfig key use_selector must be bool, got int"),
+        ("model", "backbone", None, "ModelConfig key backbone must be str, got NoneType"),
+        ("train", "epochs", "1", "TrainConfig key epochs must be int, got str"),
+        ("train", "betas", 0.9, "TrainConfig key betas must be tuple, got float"),
     ])
     def test_edited_config_fails(self, run_dir, tmp_path, capsys, command,
                                  section, name, value, message):
