@@ -8,6 +8,11 @@ config and seed.
 A run prepares and ablates its panel once; every horizon, day 1 included, is
 scored on rollout windows of the test panel, and reported by ``_report``.
 Horizons 1..D are rolled once: each continues the rollout of the one before.
+
+Each setting is declared once. A flag's dest is the name of the config field
+it sets, and ``_settings`` fills ``SynthConfig``, ``ModelConfig``,
+``TrainConfig`` and ``RunConfig`` from the parsed flags by those names; a
+flag's default is read from the dataclass that owns the field.
 """
 
 from __future__ import annotations
@@ -97,42 +102,18 @@ def _check_horizons(prepared: PreparedData, days) -> None:
                              prepared.t_future, d)
 
 
+def _settings(cls, args, **given):
+    """``cls`` built from ``given`` plus each other field that ``args`` holds
+    under the field's own name; a field neither names keeps its default."""
+    named = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if f.name not in given and hasattr(args, f.name)}
+    return cls(**named, **given)
+
+
 def _model_config(args, prepared: PreparedData) -> ModelConfig:
-    return ModelConfig(
-        n_nodes=prepared.train_panel.n_nodes,
-        past_exo_dim=len(prepared.layout.past),
-        future_exo_dim=len(prepared.layout.future),
-        t_past=args.t_past,
-        t_future=args.t_future,
-        hidden=args.hidden,
-        experts=args.experts,
-        backbone=args.backbone,
-        mix_hidden=args.mix_hidden,
-        graph_kind=args.graph,
-        graph_k=args.graph_k,
-        fusion=args.fusion,
-        use_selector=not args.no_selector,
-        use_balancer=not args.no_balancer,
-        keep_prob=args.keep_prob,
-        seed=args.seed,
-    )
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                       patience=args.patience, seed=args.seed,
-                       lr_max=args.lr_max, lr_min=args.lr_min,
-                       weight_decay=args.weight_decay, loss=args.loss)
-
-
-def _train_once(run: RunConfig, prepared: PreparedData
-                ) -> tuple[ExoModel, TrainResult]:
-    model = ExoModel(ModelConfig.from_dict(run.model),
-                     target_series=prepared.train_target_series)
-    result = train(model, prepared.train, prepared.val, prepared.scaler,
-                   prepared.target_channel,
-                   config_from_dict(TrainConfig, run.train))
-    return model, result
+    return _settings(ModelConfig, args, n_nodes=prepared.train_panel.n_nodes,
+                     past_exo_dim=len(prepared.layout.past),
+                     future_exo_dim=len(prepared.layout.future))
 
 
 def _evaluate(model, run: RunConfig, prepared: PreparedData, horizons,
@@ -159,6 +140,18 @@ def _evaluate(model, run: RunConfig, prepared: PreparedData, horizons,
         history = record.history if corrupt is None else None
         rows.append({"horizon_days": days, **record.to_dict()})
     return rows
+
+
+def _fit(run: RunConfig, prepared: PreparedData, horizons):
+    """Train the model ``run`` describes on ``prepared`` less the inputs the
+    run leaves out; the model, its ``TrainResult`` and one metric row per
+    horizon in ``horizons``."""
+    prepared = drop_exogenous(prepared, run.use_past, run.use_future, run.use_date)
+    model = ExoModel(ModelConfig.from_dict(run.model),
+                     target_series=prepared.train_target_series)
+    result = train(model, prepared.train, prepared.val, prepared.scaler,
+                   prepared.target_channel, config_from_dict(TrainConfig, run.train))
+    return model, result, _evaluate(model, run, prepared, horizons)
 
 
 def _report(out_dir: Path, stem: str, rows: list[dict], lead: list[str]) -> None:
@@ -190,9 +183,7 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, model: ExoModel,
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(nodes=args.nodes, steps=args.steps, lag=args.lag,
-                      noise=args.noise, seed=args.seed,
-                      past_coef=args.past_coef, future_coef=args.future_coef)
+    cfg = _settings(SynthConfig, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     panel = synth_generate(cfg)
@@ -205,25 +196,15 @@ def cmd_synth(args) -> int:
 
 def _build_run(args, prepared: PreparedData) -> RunConfig:
     """The run archive for ``args``; the model config needs the layout widths."""
-    model_cfg = _model_config(args, prepared)
-    return RunConfig(
-        data=str(args.data), schema=str(args.schema), seed=args.seed,
-        t_past=args.t_past, t_future=args.t_future,
-        horizon_days=args.horizon_days,
-        use_past=args.use_past, use_future=args.use_future,
-        use_date=args.use_date,
-        model=model_cfg.to_dict(),
-        train=dataclasses.asdict(_train_config(args)),
-    )
+    return _settings(RunConfig, args, model=_model_config(args, prepared).to_dict(),
+                     train=dataclasses.asdict(_settings(TrainConfig, args)))
 
 
 def cmd_train(args) -> int:
     prepared = _load_prepared(args)
     _check_horizons(prepared, range(1, args.horizon_days + 1))
     run = _build_run(args, prepared)
-    prepared = drop_exogenous(prepared, run.use_past, run.use_future, run.use_date)
-    model, result = _train_once(run, prepared)
-    rows = _evaluate(model, run, prepared, range(1, run.horizon_days + 1))
+    model, result, rows = _fit(run, prepared, range(1, run.horizon_days + 1))
     _write_run_outputs(Path(args.out), run, model, result)
     print(f"trained {len(result.history)} epochs "
           f"(best val MAE {result.best_val_mae:.6f} "
@@ -273,27 +254,24 @@ def cmd_ablate(args) -> int:
     rows = []
     prepared = _load_prepared(args)
     _check_horizons(prepared, [args.horizon_days])
+    base = _build_run(args, prepared)
 
     def one(label: str, *, use_past=True, use_future=True, use_date=True,
-            fusion="context", no_selector=False, no_balancer=False):
-        run = _build_run(args, prepared)
-        run.use_past, run.use_future, run.use_date = use_past, use_future, use_date
-        run.model["fusion"] = fusion
-        run.model["use_selector"] = not no_selector
-        run.model["use_balancer"] = not no_balancer
-        variant_data = drop_exogenous(prepared, use_past, use_future, use_date)
-        model, _ = _train_once(run, variant_data)
-        row = {"variant": label}
-        row.update(_evaluate(model, run, variant_data, [args.horizon_days])[0])
-        rows.append(row)
+            fusion="context", use_selector=True, use_balancer=True):
+        run = dataclasses.replace(
+            base, use_past=use_past, use_future=use_future, use_date=use_date,
+            model={**base.model, "fusion": fusion, "use_selector": use_selector,
+                   "use_balancer": use_balancer})
+        _, _, (row,) = _fit(run, prepared, [run.horizon_days])
+        rows.append({"variant": label, **row})
 
     for use_past, use_future, use_date in _DATA_ABLATIONS:
         label = "data:" + "".join(
             ch for ch, flag in zip("PFD", (use_past, use_future, use_date))
             if flag)
         one(label, use_past=use_past, use_future=use_future, use_date=use_date)
-    one("module:no-selector", no_selector=True)
-    one("module:no-balancer", no_balancer=True)
+    one("module:no-selector", use_selector=False)
+    one("module:no-balancer", use_balancer=False)
     for fusion in FUSION_STRATEGIES:
         one(f"strategy:{fusion}", fusion=fusion)
     _report(Path(args.out), "ablation", rows, ["variant"])
@@ -324,17 +302,21 @@ def cmd_corrupt_eval(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    panel = load_panel(args.data, args.schema)
-    prepared = prepare_splits(panel, args.t_past, args.t_future)
-    graph = build_graph(args.graph, panel.n_nodes,
-                        target_series=prepared.train_target_series,
-                        k=args.graph_k, rng=np.random.default_rng(args.seed))
-    matrix = graph.matrix().values
-    lines = ["\t".join(repr(float(v)) for v in row) for row in matrix]
-    text = "\n".join(lines) + "\n"
+    """Dump ``--graph``'s adjacency as tab-separated rows: the matrix before
+    self-loops and row normalization, not the one a grugcn model convolves
+    with. An adaptive kind draws its embeddings from ``--seed`` alone."""
+    prepared = _load_prepared(args)
+    n_nodes = prepared.train_panel.n_nodes
+    # build_graph rejects a negative k in its own words; then train's checks
+    graph = build_graph(args.graph_kind, n_nodes,
+                        target_series=prepared.train_target_series, k=args.graph_k,
+                        rng=np.random.default_rng(args.seed))
+    _model_config(args, prepared)
+    text = "".join("\t".join(repr(float(v)) for v in row) + "\n"
+                   for row in graph.matrix().values)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({graph.provenance}, {panel.n_nodes} nodes)")
+        print(f"wrote {args.out} ({graph.provenance}, {n_nodes} nodes)")
     else:
         print(text, end="")
     return 0
@@ -347,42 +329,54 @@ def cmd_graph(args) -> int:
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="panel csv path")
     p.add_argument("--schema", required=True, help="role descriptor path")
-    p.add_argument("--t-past", type=int, default=24, dest="t_past")
-    p.add_argument("--t-future", type=int, default=24, dest="t_future")
+    p.add_argument("--t-past", type=int, default=ModelConfig.t_past)
+    p.add_argument("--t-future", type=int, default=ModelConfig.t_future)
 
 
 def _add_graph_flags(p):
-    p.add_argument("--graph", choices=GRAPH_KINDS, default="pearson")
-    p.add_argument("--graph-k", type=int, default=8, dest="graph_k")
+    p.add_argument("--graph", choices=GRAPH_KINDS, default=ModelConfig.graph_kind,
+                   dest="graph_kind")
+    p.add_argument("--graph-k", type=int, default=ModelConfig.graph_k)
 
 
-def _add_model_flags(p):
-    p.add_argument("--experts", type=int, default=4, metavar="K")
-    p.add_argument("--hidden", type=int, default=64, metavar="H")
-    p.add_argument("--backbone", choices=BACKBONE_KINDS, default="grugcn")
-    p.add_argument("--mix-hidden", type=int, default=32, dest="mix_hidden")
+def _add_run_flags(p):
+    """The flags of ``train`` and ``ablate``: data, model, training, output."""
+    _add_data_flags(p)
+    p.add_argument("--experts", type=int, default=ModelConfig.experts, metavar="K")
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden, metavar="H")
+    p.add_argument("--backbone", choices=BACKBONE_KINDS, default=ModelConfig.backbone)
+    p.add_argument("--mix-hidden", type=int, default=ModelConfig.mix_hidden)
     _add_graph_flags(p)
-    p.add_argument("--fusion", choices=FUSION_STRATEGIES, default="context")
-    p.add_argument("--keep-prob", type=float, default=0.9, dest="keep_prob")
-    p.add_argument("--no-selector", action="store_true")
-    p.add_argument("--no-balancer", action="store_true")
-    p.add_argument("--use-past", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--use-future", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--use-date", action=argparse.BooleanOptionalAction,
-                   default=True)
+    p.add_argument("--fusion", choices=FUSION_STRATEGIES, default=ModelConfig.fusion)
+    p.add_argument("--keep-prob", type=float, default=ModelConfig.keep_prob)
+    p.add_argument("--no-selector", action="store_false", dest="use_selector")
+    p.add_argument("--no-balancer", action="store_false", dest="use_balancer")
+    for role in ("past", "future", "date"):
+        p.add_argument(f"--use-{role}", action=argparse.BooleanOptionalAction,
+                       default=True)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                   dest="batch_size", metavar="BATCH")
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--lr-max", type=float, default=TrainConfig.lr_max)
+    p.add_argument("--lr-min", type=float, default=TrainConfig.lr_min)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--loss", choices=("mae", "mse"), default=TrainConfig.loss)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
+    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=1)
 
 
-def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--lr-max", type=float, default=1e-2, dest="lr_max")
-    p.add_argument("--lr-min", type=float, default=1e-7, dest="lr_min")
-    p.add_argument("--weight-decay", type=float, default=1e-4,
-                   dest="weight_decay")
-    p.add_argument("--loss", choices=("mae", "mse"), default="mae")
+def _add_archive_flags(p, *, corrupt: bool):
+    """The flags of ``eval`` and ``corrupt-eval``; ``corrupt`` adds the
+    single-strategy corruption flags of ``eval``."""
+    p.add_argument("--model-dir", required=True)
+    p.add_argument("--out")
+    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3))
+    if corrupt:
+        p.add_argument("--corrupt", choices=("zero", "random"))
+        p.add_argument("--corrupt-ratio", type=float)
+    p.add_argument("--corrupt-seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,60 +387,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic panel")
     p.add_argument("--out", required=True)
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--steps", type=int, default=512)
-    p.add_argument("--lag", type=int, default=6)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--past-coef", type=float, default=1.0, dest="past_coef")
-    p.add_argument("--future-coef", type=float, default=1.0, dest="future_coef")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=int, default=SynthConfig.nodes)
+    p.add_argument("--steps", type=int, default=SynthConfig.steps)
+    p.add_argument("--lag", type=int, default=SynthConfig.lag)
+    p.add_argument("--noise", type=float, default=SynthConfig.noise)
+    p.add_argument("--past-coef", type=float, default=SynthConfig.past_coef)
+    p.add_argument("--future-coef", type=float, default=SynthConfig.future_coef)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model and archive the run")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=1,
-                   dest="horizon_days")
+    _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model archive")
-    p.add_argument("--model-dir", required=True, dest="model_dir")
-    p.add_argument("--out", default=None)
-    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=None,
-                   dest="horizon_days")
-    p.add_argument("--corrupt", choices=("zero", "random"), default=None)
-    p.add_argument("--corrupt-ratio", type=float, default=None,
-                   dest="corrupt_ratio")
-    p.add_argument("--corrupt-seed", type=int, default=0, dest="corrupt_seed")
+    _add_archive_flags(p, corrupt=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="input/module/strategy ablation grid")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=1,
-                   dest="horizon_days")
+    _add_run_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("corrupt-eval",
                        help="robustness grid over corruption strategies")
-    p.add_argument("--model-dir", required=True, dest="model_dir")
-    p.add_argument("--out", default=None)
-    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=None,
-                   dest="horizon_days")
-    p.add_argument("--corrupt-seed", type=int, default=0, dest="corrupt_seed")
+    _add_archive_flags(p, corrupt=False)
     p.set_defaults(func=cmd_corrupt_eval)
 
-    p = sub.add_parser("graph", help="dump an adjacency matrix")
+    about = ("dump a graph's adjacency before self-loops and row normalization, "
+             "not the matrix a grugcn model convolves with")
+    p = sub.add_parser("graph", help=about, description=about)
     _add_data_flags(p)
     _add_graph_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_graph)
 
     return parser

@@ -327,17 +327,32 @@ def save_model(path, model: ExoModel) -> None:
 
 
 def load_model(path, config: ModelConfig) -> ExoModel:
-    """Rebuild a model from its config and parameter archive."""
+    """Rebuild a model from its config and parameter archive.
+
+    The archive must hold exactly the tensors of the model ``config``
+    builds, each of its shape and finite: the parameters, plus the prepped
+    (n_nodes, n_nodes) ``graph.static_adjacency`` of a grugcn model on a
+    pearson or identity graph. Any other archive is a one-line
+    ``ValueError`` naming ``path`` and the tensor.
+    """
     stored = load_tensors(path)
-    adjacency = stored.pop("graph.static_adjacency", None)
-    model = ExoModel(config, static_adjacency=adjacency)
+    n = config.n_nodes
+    static = config.backbone == "grugcn" and config.graph_kind in ("pearson", "identity")
+    # the zero adjacency is a placeholder, overwritten like every parameter
+    model = ExoModel(config, static_adjacency=np.zeros((n, n)) if static else None)
     params = model.parameters()
-    missing = set(params) ^ set(stored)
+    built = {name: t.values for name, t in params.items()} | model.buffers()
+    missing = set(built) ^ set(stored)
     if missing:
-        raise ValueError(f"archive/model parameter mismatch: {sorted(missing)}")
+        raise ValueError(f"{path}: archive/model parameter mismatch: {sorted(missing)}")
+    for name, values in stored.items():
+        if values.shape != built[name].shape:
+            raise ValueError(f"{path}: shape mismatch for {name}: "
+                             f"{built[name].shape} vs {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {name} holds a non-finite value")
     for name, tensor in params.items():
-        if tensor.values.shape != stored[name].shape:
-            raise ValueError(f"shape mismatch for {name}: "
-                             f"{tensor.values.shape} vs {stored[name].shape}")
         tensor.values = stored[name]
+    if static:
+        model.graph.adjacency = stored["graph.static_adjacency"]
     return model
