@@ -138,13 +138,11 @@ def mlp_mixer_forward(x: Tensor, params: MlpMixerParams,
 def backbone_forward(x_prime: Tensor, graph, params, spec: BackboneSpec
                      ) -> tuple[Tensor, Tensor]:
     """Dispatch on kind; returns (forecast, penultimate features)."""
-    if spec.kind == "grugcn":
-        if graph is None:
-            raise ValueError("grugcn backbone requires a graph")
-        return grugcn_forward(x_prime, graph, params, spec)
     if spec.kind == "mlp-mixer":
         return mlp_mixer_forward(x_prime, params, spec)
-    raise ValueError(f"unknown backbone kind {spec.kind!r}")
+    if graph is None:
+        raise ValueError("grugcn backbone requires a graph")
+    return grugcn_forward(x_prime, graph, params, spec)
 
 
 def init_backbone(spec: BackboneSpec, t_in: int, rng: np.random.Generator):

@@ -110,10 +110,15 @@ def _settings(cls, args, **given):
     return cls(**named, **given)
 
 
+def _panel_sizes(prepared: PreparedData) -> dict:
+    """The ``ModelConfig`` fields that the panel decides, by name."""
+    return {"n_nodes": prepared.train_panel.n_nodes,
+            "past_exo_dim": len(prepared.layout.past),
+            "future_exo_dim": len(prepared.layout.future)}
+
+
 def _model_config(args, prepared: PreparedData) -> ModelConfig:
-    return _settings(ModelConfig, args, n_nodes=prepared.train_panel.n_nodes,
-                     past_exo_dim=len(prepared.layout.past),
-                     future_exo_dim=len(prepared.layout.future))
+    return _settings(ModelConfig, args, **_panel_sizes(prepared))
 
 
 def _evaluate(model, run: RunConfig, prepared: PreparedData, horizons,
@@ -214,17 +219,34 @@ def cmd_train(args) -> int:
 
 
 def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
+    """The run archived in ``model_dir``: its config, model and prepared panel.
+
+    ``config.json`` must hold its three configs, each field of its type, and
+    each setting it stores twice must agree: the top-level ``t_past``,
+    ``t_future`` and ``seed`` with ``model``'s, ``seed`` with ``train.seed``,
+    and the panel's node count and exogenous widths with ``model``'s. Any
+    other file is a one-line ``ValueError`` naming it and both values.
+    """
     config_path = model_dir / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"missing model archive: {config_path}")
     try:
         run = config_from_dict(RunConfig, json.loads(config_path.read_text()))
         model_cfg = ModelConfig.from_dict(run.model)
-        config_from_dict(TrainConfig, run.train)
+        train_cfg = config_from_dict(TrainConfig, run.train)
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
     prepared = drop_exogenous(_load_prepared(run), run.use_past, run.use_future,
                               run.use_date)
+    twice = [(name, getattr(run, name), f"model.{name}", getattr(model_cfg, name))
+             for name in ("t_past", "t_future", "seed")]
+    twice.append(("seed", run.seed, "train.seed", train_cfg.seed))
+    twice += [(f"model.{name}", getattr(model_cfg, name), f"the panel's {name}", value)
+              for name, value in _panel_sizes(prepared).items()]
+    for name, value, other, other_value in twice:
+        if value != other_value:
+            raise ValueError(f"{config_path}: {name} {value} disagrees with "
+                             f"{other} {other_value}")
     model = load_model(model_dir / "model.bin", model_cfg)
     return run, model, prepared
 
@@ -304,19 +326,20 @@ def cmd_corrupt_eval(args) -> int:
 def cmd_graph(args) -> int:
     """Dump ``--graph``'s adjacency as tab-separated rows: the matrix before
     self-loops and row normalization, not the one a grugcn model convolves
-    with. An adaptive kind draws its embeddings from ``--seed`` alone."""
+    with. An adaptive kind draws its embeddings from ``--seed`` alone.
+
+    The flags pass ``train``'s checks first, in its words, so ``--graph-k``
+    below 1 fails as it does there. ``--out`` reports the ``--graph`` kind."""
     prepared = _load_prepared(args)
-    n_nodes = prepared.train_panel.n_nodes
-    # build_graph rejects a negative k in its own words; then train's checks
+    n_nodes = _model_config(args, prepared).n_nodes
     graph = build_graph(args.graph_kind, n_nodes,
                         target_series=prepared.train_target_series, k=args.graph_k,
                         rng=np.random.default_rng(args.seed))
-    _model_config(args, prepared)
     text = "".join("\t".join(repr(float(v)) for v in row) + "\n"
                    for row in graph.matrix().values)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({graph.provenance}, {n_nodes} nodes)")
+        print(f"wrote {args.out} ({args.graph_kind}, {n_nodes} nodes)")
     else:
         print(text, end="")
     return 0

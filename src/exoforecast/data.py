@@ -103,19 +103,30 @@ _ROLE_TAGS = {r.value: r for r in VariableRole}
 
 
 def load_schema(path) -> dict[str, VariableRole]:
-    """Read the sidecar descriptor mapping variable names to roles."""
+    """Read the sidecar descriptor mapping variable names to roles.
+
+    The file must hold a JSON object whose non-empty ``variables`` object
+    maps each name to a string role tag; anything else is a one-line
+    ``ValueError`` naming ``path``.
+    """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"schema {path} must be a JSON object, got {type(raw).__name__}")
     variables = raw.get("variables")
     if not isinstance(variables, dict) or not variables:
         raise ValueError(f"schema {path} must contain a non-empty 'variables' map")
     roles = {}
     for name, tag in variables.items():
+        if not isinstance(tag, str):
+            raise ValueError(f"schema {path}: role tag for variable {name!r} must be "
+                             f"a string, got {type(tag).__name__}")
         if tag not in _ROLE_TAGS:
-            raise ValueError(f"unknown role tag {tag!r} for variable {name!r}")
+            raise ValueError(f"schema {path}: unknown role tag {tag!r} for variable {name!r}")
         role = _ROLE_TAGS[tag]
         if role == VariableRole.DATE:
-            raise ValueError("date channels are synthesized, never ingested raw")
+            raise ValueError(f"schema {path}: date channels are synthesized, never "
+                             "ingested raw")
         roles[name] = role
     return roles
 
@@ -327,7 +338,6 @@ class Scaler:
 class FeatureLayout:
     """Column bookkeeping for the windowed exogenous blocks."""
 
-    endo: list[str]
     past: list[str]          # names of E_past columns, date channels last
     future: list[str]        # names of E_future columns, date channels last
     past_is_date: np.ndarray
@@ -360,7 +370,6 @@ def feature_layout(panel: Panel) -> FeatureLayout:
     date_idx = panel.indices_for(VariableRole.DATE)
     names = panel.variables
     return FeatureLayout(
-        endo=[names[panel.target_index]],
         past=[names[i] for i in past_idx + date_idx],
         future=[names[i] for i in fut_idx + date_idx],
         past_is_date=np.array([False] * len(past_idx) + [True] * len(date_idx)),
@@ -429,13 +438,12 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
 # ---------------------------------------------------------------------------
 
 def corrupt_exogenous(samples: Windows, layout: FeatureLayout,
-                      strategy: str, ratio: float, seed: int,
-                      include_date: bool = False) -> Windows:
+                      strategy: str, ratio: float, seed: int) -> Windows:
     """Randomly replace exogenous entries with zeros or standard-normal draws.
 
     Each entry is replaced independently with probability ``ratio``, drawn
-    window by window, past block before future block. Date channels are
-    untouched unless ``include_date``; targets never change.
+    window by window, past block before future block. Date channels and
+    targets never change.
     """
     if strategy not in ("zero", "random"):
         raise ValueError(f"unknown corruption strategy {strategy!r}")
@@ -444,11 +452,10 @@ def corrupt_exogenous(samples: Windows, layout: FeatureLayout,
     if ratio == 0.0:
         return samples
     rng = np.random.default_rng(seed)
-    past_cols = np.ones(len(layout.past), bool) if include_date else ~layout.past_is_date
-    fut_cols = np.ones(len(layout.future), bool) if include_date else ~layout.future_is_date
     e_past, e_future = samples.e_past.copy(), samples.e_future.copy()
     for i in range(len(samples)):
-        for block, cols in ((e_past[i], past_cols), (e_future[i], fut_cols)):
+        for block, cols in ((e_past[i], ~layout.past_is_date),
+                            (e_future[i], ~layout.future_is_date)):
             if not cols.any():
                 continue
             target = block[:, :, cols]

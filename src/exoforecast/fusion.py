@@ -22,13 +22,13 @@ FUSION_STRATEGIES = ("context", "shared", "simple", "learnable", "attention")
 
 @dataclass
 class BalancerParams(Params):
-    """Bottleneck MLP generating the balancing weight."""
+    """Bottleneck MLP generating the balancing weight: one per horizon step
+    when ``w1`` has T_f rows, one per sample when it has 1."""
 
     w1: Tensor   # (D, width) where D = T_f, or 1 in per-sample-scalar mode
     b1: Tensor   # (width,)
     w2: Tensor   # (width, D)
     b2: Tensor   # (D,)
-    scalar: bool = False
 
 
 @dataclass
@@ -49,7 +49,6 @@ def init_balancer(t_future: int, rng: np.random.Generator, reduction: int = 4,
         b1=Tensor(np.zeros(width), requires_grad=True),
         w2=ad.uniform_parameter(rng, (width, dim), width),
         b2=Tensor(np.zeros(dim), requires_grad=True),
-        scalar=scalar,
     )
 
 
@@ -81,7 +80,8 @@ def context_balance(y_p: Tensor, y_f: Tensor,
 
     The two branches are summed, pooled over nodes into a per-step
     descriptor, passed through the bottleneck MLP and a sigmoid, and the
-    resulting alpha is broadcast back across nodes.
+    resulting alpha is broadcast back across nodes. A ``w1`` with fewer rows
+    than the T_f steps takes the descriptor pooled over steps too.
     """
     if y_p.shape != y_f.shape:
         raise ValueError(f"branch shapes differ: {y_p.shape} vs {y_f.shape}")
@@ -89,7 +89,7 @@ def context_balance(y_p: Tensor, y_f: Tensor,
     pooled = ad.mean(context, axis=-3)               # (..., T_f, 1)
     t_f = pooled.shape[-2]
     descriptor = ad.reshape(pooled, pooled.shape[:-2] + (1, t_f))
-    if params.scalar:
+    if params.w1.shape[0] < t_f:
         descriptor = ad.mean(descriptor, axis=-1, keepdims=True)
     hidden = ad.relu(ad.add(ad.matmul(descriptor, params.w1), params.b1))
     alpha_row = ad.sigmoid(ad.add(ad.matmul(hidden, params.w2), params.b2))

@@ -7,7 +7,7 @@ forward pass (so they participate in the gradient tape).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,9 +19,8 @@ GRAPH_KINDS = ("pearson", "adaptive", "adaptive-directed", "identity")
 
 
 def adaptive_adjacency(embeddings: Tensor) -> Tensor:
-    """Row-softmax of ReLU(E Eᵀ); differentiable w.r.t. the embeddings."""
-    scores = ad.relu(ad.matmul(embeddings, ad.transpose(embeddings)))
-    return ad.softmax(scores, axis=1)
+    """Row-softmax of ReLU(E Eᵀ): the directed form with one embedding."""
+    return adaptive_adjacency_directed(embeddings, embeddings)
 
 
 def adaptive_adjacency_directed(src: Tensor, dst: Tensor) -> Tensor:
@@ -54,13 +53,13 @@ def pearson_topk_adjacency(series: np.ndarray, k: int = 8) -> np.ndarray:
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     corr = pearson_correlation(series)
+    # a stable ascending sort of -corr keeps lower indices first on ties;
+    # the +inf diagonal sorts last, so no node picks itself
+    key = -corr
+    np.fill_diagonal(key, np.inf)
+    picked = np.argsort(key, axis=1, kind="stable")[:, :k]
     adj = np.zeros((n, n))
-    for i in range(n):
-        candidates = [j for j in range(n) if j != i]
-        # stable sort on descending value keeps lower indices first on ties
-        order = sorted(candidates, key=lambda j: (-corr[i, j], j))
-        for j in order[:k]:
-            adj[i, j] = corr[i, j]
+    np.put_along_axis(adj, picked, np.take_along_axis(corr, picked, axis=1), axis=1)
     return adj
 
 
@@ -79,15 +78,15 @@ def row_normalize(adj: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Graph(Params):
-    """N x N adjacency with construction provenance.
+    """N x N adjacency, held as exactly one of three things, and the field
+    that is set decides what ``matrix`` returns.
 
-    Static kinds (pearson-topk, identity) hold their adjacency. Adaptive
-    kinds hold trainable embeddings and re-evaluate the matrix on every call
-    so it stays inside the active differentiation tape.
+    A static kind (pearson, identity) holds its ``adjacency``. An adaptive
+    kind holds trainable ``embeddings`` (undirected), or ``src_embeddings``
+    and ``dst_embeddings`` (directed), and re-evaluates the matrix on every
+    call so it stays inside the active differentiation tape.
     """
 
-    provenance: str
-    n_nodes: int
     adjacency: Optional[np.ndarray] = None
     embeddings: Optional[Tensor] = None
     src_embeddings: Optional[Tensor] = None
@@ -96,11 +95,9 @@ class Graph(Params):
     def matrix(self) -> Tensor:
         if self.adjacency is not None:
             return Tensor(self.adjacency)
-        if self.provenance == "adaptive":
+        if self.embeddings is not None:
             return adaptive_adjacency(self.embeddings)
-        if self.provenance == "adaptive-directed":
-            return adaptive_adjacency_directed(self.src_embeddings, self.dst_embeddings)
-        raise ValueError(f"unknown provenance {self.provenance!r}")
+        return adaptive_adjacency_directed(self.src_embeddings, self.dst_embeddings)
 
     def parameters(self, prefix: str = "graph") -> dict[str, Tensor]:
         return super().parameters(prefix)
@@ -109,28 +106,26 @@ class Graph(Params):
 def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = None,
                 k: int = 8, embed_dim: int = 8,
                 rng: Optional[np.random.Generator] = None) -> Graph:
-    """Construct a graph of the requested provenance.
+    """Construct a graph of ``kind``, one of ``GRAPH_KINDS``.
 
-    ``target_series`` (N, T_train) is required for pearson-topk; adaptive
-    kinds initialize trainable embeddings from ``rng``.
+    A pearson graph needs ``target_series`` (N, T_train) and keeps each
+    node's ``min(k, n_nodes - 1)`` largest correlations. An adaptive kind
+    draws its trainable embeddings from ``rng``, which it then requires:
+    there is no default generator. Identity needs neither.
     """
     if kind == "identity":
-        return Graph("identity", n_nodes, adjacency=np.eye(n_nodes))
+        return Graph(adjacency=np.eye(n_nodes))
     if kind == "pearson":
         if target_series is None:
             raise ValueError("pearson graph needs the training target series")
-        k_eff = min(k, n_nodes - 1)
-        adj = pearson_topk_adjacency(target_series, k_eff)
-        return Graph("pearson-topk", n_nodes, adjacency=adj)
-    if rng is None:
-        rng = np.random.default_rng(0)
+        return Graph(adjacency=pearson_topk_adjacency(target_series,
+                                                      min(k, n_nodes - 1)))
 
     def embedding() -> Tensor:
         return ad.uniform_parameter(rng, (n_nodes, embed_dim), embed_dim)
 
     if kind == "adaptive":
-        return Graph("adaptive", n_nodes, embeddings=embedding())
+        return Graph(embeddings=embedding())
     if kind == "adaptive-directed":
-        return Graph("adaptive-directed", n_nodes, src_embeddings=embedding(),
-                     dst_embeddings=embedding())
+        return Graph(src_embeddings=embedding(), dst_embeddings=embedding())
     raise ValueError(f"unknown graph kind {kind!r}")

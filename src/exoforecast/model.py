@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import BackboneSpec, backbone_forward, init_backbone
 from .fusion import (
+    FUSION_STRATEGIES,
     AttentionParams,
     BalancerParams,
     attention_enhance,
@@ -123,6 +124,8 @@ class ExoModel:
     def __init__(self, config: ModelConfig,
                  target_series: Optional[np.ndarray] = None,
                  static_adjacency: Optional[np.ndarray] = None):
+        if config.fusion not in FUSION_STRATEGIES:
+            raise ValueError(f"unknown fusion strategy {config.fusion!r}")
         self.config = config
         cfg = config
         rng = np.random.default_rng(cfg.seed)
@@ -138,18 +141,13 @@ class ExoModel:
         self.backbone_p = init_backbone(self.spec, t_in, rng)
         self.backbone_f = (None if cfg.fusion == "shared"
                            else init_backbone(self.spec, t_in, rng))
-        self.balancer: Optional[BalancerParams] = None
-        self.learnable_w: Optional[Tensor] = None
-        self.attention: Optional[AttentionParams] = None
-        if cfg.fusion == "context":
-            self.balancer = init_balancer(cfg.t_future, rng, cfg.reduction,
-                                          scalar=cfg.alpha_per_sample)
-        elif cfg.fusion == "learnable":
-            self.learnable_w = init_learnable_weights()
-        elif cfg.fusion == "attention":
-            self.attention = init_attention(cfg.hidden, rng)
-        elif cfg.fusion not in ("shared", "simple"):
-            raise ValueError(f"unknown fusion strategy {cfg.fusion!r}")
+        self.balancer: Optional[BalancerParams] = (
+            init_balancer(cfg.t_future, rng, cfg.reduction, scalar=cfg.alpha_per_sample)
+            if cfg.fusion == "context" else None)
+        self.learnable_w: Optional[Tensor] = (
+            init_learnable_weights() if cfg.fusion == "learnable" else None)
+        self.attention: Optional[AttentionParams] = (
+            init_attention(cfg.hidden, rng) if cfg.fusion == "attention" else None)
         self.graph = self._build_graph(target_series, static_adjacency, rng)
 
     def _build_graph(self, target_series, static_adjacency, rng) -> Optional[Graph]:
@@ -157,8 +155,7 @@ class ExoModel:
             return None  # graph-free backbone
         cfg = self.config
         if static_adjacency is not None:  # archived, already prepped
-            provenance = "pearson-topk" if cfg.graph_kind == "pearson" else cfg.graph_kind
-            return Graph(provenance, cfg.n_nodes, adjacency=static_adjacency)
+            return Graph(adjacency=static_adjacency)
         graph = build_graph(cfg.graph_kind, cfg.n_nodes,
                             target_series=target_series, k=cfg.graph_k,
                             embed_dim=cfg.graph_embed_dim, rng=rng)
@@ -330,16 +327,16 @@ def load_model(path, config: ModelConfig) -> ExoModel:
     """Rebuild a model from its config and parameter archive.
 
     The archive must hold exactly the tensors of the model ``config``
-    builds, each of its shape and finite: the parameters, plus the prepped
-    (n_nodes, n_nodes) ``graph.static_adjacency`` of a grugcn model on a
-    pearson or identity graph. Any other archive is a one-line
+    builds, each of its shape and finite: its ``parameters()`` and
+    ``buffers()``, where a static graph's prepped (n_nodes, n_nodes)
+    ``graph.static_adjacency`` is a buffer. Any other archive is a one-line
     ``ValueError`` naming ``path`` and the tensor.
     """
     stored = load_tensors(path)
-    n = config.n_nodes
-    static = config.backbone == "grugcn" and config.graph_kind in ("pearson", "identity")
-    # the zero adjacency is a placeholder, overwritten like every parameter
-    model = ExoModel(config, static_adjacency=np.zeros((n, n)) if static else None)
+    # a pearson graph needs training data to build, so a zero adjacency
+    # stands in for it; it is overwritten like every parameter
+    model = ExoModel(config, static_adjacency=np.zeros((config.n_nodes,) * 2)
+                     if config.graph_kind == "pearson" else None)
     params = model.parameters()
     built = {name: t.values for name, t in params.items()} | model.buffers()
     missing = set(built) ^ set(stored)
@@ -353,6 +350,6 @@ def load_model(path, config: ModelConfig) -> ExoModel:
             raise ValueError(f"{path}: {name} holds a non-finite value")
     for name, tensor in params.items():
         tensor.values = stored[name]
-    if static:
+    if model.buffers():
         model.graph.adjacency = stored["graph.static_adjacency"]
     return model

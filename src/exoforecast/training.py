@@ -164,7 +164,6 @@ class TrainResult:
     best_epoch: int = 0
     best_val_mae: float = math.inf
     epoch_seconds: list = field(default_factory=list)  # wall clock, not archived
-    stopped_early: bool = False
 
 
 def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
@@ -219,7 +218,6 @@ def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
         })
         result.epoch_seconds.append(time.perf_counter() - started)
         if stop:
-            result.stopped_early = True
             break
     for name, tensor in params.items():
         tensor.values = best_values[name]

@@ -48,12 +48,14 @@ def _resolve(path: str):
 
 
 def _entry_points() -> list[str]:
+    """Each patched name once, in order: a span's entry point may also be a
+    marker, and strict parametrization ids reject a repeat."""
     consts = _constants()
     tape = consts.get("TAPE_CLASS")
-    return ([path for _, path, _ in consts.get("SPANS", ())]
-            + ([tape + ".__enter__", tape + ".__exit__"] if tape else [])
-            + [consts[name] for name in ("PREDICT", "EVALUATE", "ADAMW")
-               if name in consts])
+    return list(dict.fromkeys(
+        [path for _, path, _ in consts.get("SPANS", ())]
+        + ([tape + ".__enter__", tape + ".__exit__"] if tape else [])
+        + [consts[name] for name in ("PREDICT", "EVALUATE", "ADAMW") if name in consts]))
 
 
 def _imported_names() -> list[str]:

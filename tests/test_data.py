@@ -357,11 +357,6 @@ class TestCorruption:
             np.testing.assert_array_equal(
                 a.e_past[:, :, layout.past_is_date], b.e_past[:, :, layout.past_is_date])
 
-    def test_include_date_flag(self):
-        samples, layout = self._samples()
-        out = corrupt_exogenous(samples, layout, "zero", 1.0, seed=2, include_date=True)
-        assert (out[0].e_past == 0).all()
-
     def test_random_strategy_moments(self):
         # ratio 1 on ~1e5 entries: sample mean near 0, variance near 1
         panel = add_date_channels(tiny_panel(n=5, t=600, seed=9))

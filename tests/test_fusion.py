@@ -156,6 +156,21 @@ class TestContextBalance:
         y_hat, alpha = context_balance(yp, yf, p)
         assert alpha.values.shape == (1,)
         assert y_hat.values.shape == yp.values.shape
+        # at T_f = 1 the per-sample balancer is the per-step one, bit for bit
+        branches = [t.values for t in rand_branches(7, t=1)[:2]]
+        runs = []
+        for scalar in (True, False):
+            yp, yf = (Tensor(v, requires_grad=True) for v in branches)
+            p = init_balancer(1, np.random.default_rng(3), scalar=scalar)
+            wrt = [yp, yf, *p.parameters("b").values()]
+            with ad.Tape() as tape:
+                y_hat, alpha = context_balance(yp, yf, p)
+                loss = ad.reduce_sum(y_hat)
+            tape.backward(loss)
+            runs.append([y_hat.values, alpha.values, *(t.grad for t in wrt)])
+        assert runs[0][1].shape == (1,)
+        for per_sample, per_step in zip(*runs):
+            assert per_sample.tobytes() == per_step.tobytes()
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(8)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast import autodiff as ad
@@ -31,6 +33,32 @@ def oracle_adaptive(e_src: np.ndarray, e_dst: np.ndarray) -> np.ndarray:
         z = sum(exps)
         out[i] = [e / z for e in exps]
     return out
+
+
+def oracle_topk(series: np.ndarray, k: int) -> np.ndarray:
+    """Per-node sorted loop: each node's k largest off-diagonal correlations,
+    lower node index first on ties."""
+    n = series.shape[0]
+    corr = pearson_correlation(series)
+    adj = np.zeros((n, n))
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (-corr[i, j], j))
+        for j in order[:k]:
+            adj[i, j] = corr[i, j]
+    return adj
+
+
+@st.composite
+def tied_series(draw):
+    """(N, T) series whose rows repeat, rescale or negate a few small-integer
+    rows, so correlations tie exactly and constant rows are common."""
+    t = draw(st.integers(min_value=2, max_value=8))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=t, max_size=t),
+                         min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool),
+                                   st.sampled_from([1.0, 2.0, -1.0, -0.5])),
+                         min_size=1, max_size=7))
+    return np.array([[scale * v for v in row] for row, scale in rows])
 
 
 class TestAdaptive:
@@ -131,6 +159,13 @@ class TestPearsonTopK:
         corr = pearson_correlation(series)
         np.testing.assert_array_equal(corr[0], np.zeros(3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(tied_series())
+    def test_matches_sorted_loop_by_bytes(self, series):
+        for k in range(series.shape[0]):
+            assert pearson_topk_adjacency(series, k).tobytes() == \
+                oracle_topk(series, k).tobytes()
+
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k="):
             pearson_topk_adjacency(np.random.default_rng(0).normal(size=(4, 10)), k=4)
@@ -147,8 +182,9 @@ class TestGraphHolder:
 
     def test_pearson_clamps_k(self):
         series = np.random.default_rng(1).normal(size=(3, 30))
-        g = build_graph("pearson", 3, target_series=series, k=8)
-        assert g.provenance == "pearson-topk"
+        clamped = build_graph("pearson", 3, target_series=series, k=8).adjacency
+        assert clamped.tobytes() == \
+            build_graph("pearson", 3, target_series=series, k=2).adjacency.tobytes()
 
     def test_adaptive_parameters_registered(self):
         g = build_graph("adaptive", 4, rng=np.random.default_rng(0))

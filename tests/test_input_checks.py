@@ -1,4 +1,5 @@
-"""Malformed synth sizes, graph sizes and config value types fail with one line."""
+"""Malformed synth sizes, graph sizes, schema files and config values fail
+with one line."""
 
 import json
 import shutil
@@ -76,7 +77,7 @@ class TestGraphSizes:
         out = tmp_path / "adj.tsv"
         assert main(["graph", *data, "--t-past", "6", "--t-future", "4",
                      "--graph-k", "-3", "--out", str(out)]) == 1
-        assert _one_error_line(capsys) == "error: k=-3 must be >= 0"
+        assert _one_error_line(capsys) == "error: graph_k must be >= 1, got -3"
         assert not out.exists()
 
     def test_negative_k_is_rejected(self):
@@ -87,6 +88,24 @@ class TestGraphSizes:
         series = np.random.default_rng(0).normal(size=(1, 10))
         np.testing.assert_array_equal(pearson_topk_adjacency(series, k=0), np.zeros((1, 1)))
         assert build_graph("pearson", 1, target_series=series, k=8).adjacency.shape == (1, 1)
+
+
+class TestSchemaFiles:
+    @pytest.mark.parametrize("schema, message", [
+        ([1, 2], "schema {path} must be a JSON object, got list"),
+        ({"variables": {"target": "target", "past_driver": "past",
+                        "future_driver": ["future"]}},
+         "schema {path}: role tag for variable 'future_driver' must be a string, "
+         "got list"),
+    ])
+    def test_malformed_schema_fails(self, data, tmp_path, capsys, schema, message):
+        path = tmp_path / "panel.schema.json"
+        path.write_text(json.dumps(schema))
+        out = tmp_path / "out"
+        assert main(["train", *data[:2], "--schema", str(path), *TINY,
+                     "--out", str(out)]) == 1
+        assert _one_error_line(capsys) == "error: " + message.format(path=path)
+        assert not out.exists()
 
 
 def _model_dict(**changes) -> dict:
@@ -124,6 +143,9 @@ class TestConfigTypes:
         ("t_past", "6", "RunConfig key t_past must be int, got str"),
         ("use_past", "yes", "RunConfig key use_past must be bool, got str"),
         ("data", 3, "RunConfig key data must be str, got int"),
+        ("t_past", 7, "t_past 7 disagrees with model.t_past 6"),
+        ("t_future", 5, "t_future 5 disagrees with model.t_future 4"),
+        ("seed", 3, "seed 3 disagrees with model.seed 0"),
     ])
     def test_edited_run_section_fails(self, run_dir, tmp_path, capsys, key, value,
                                       message):
@@ -136,4 +158,20 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert _one_error_line(capsys) == \
             f"error: {model_dir / 'config.json'}: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_panel_of_another_size_fails(self, run_dir, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "synth"), "--nodes", "5",
+                     "--steps", "200", "--seed", "5"]) == 0
+        model_dir = tmp_path / "edited"
+        shutil.copytree(run_dir, model_dir)
+        config = json.loads((model_dir / "config.json").read_text())
+        config["data"] = str(tmp_path / "synth" / "panel.csv")
+        (model_dir / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(model_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: {model_dir / 'config.json'}: "
+            "model.n_nodes 3 disagrees with the panel's n_nodes 5")
         assert not (tmp_path / "out").exists()

@@ -137,6 +137,15 @@ class TestCommandLine:
         ("model", "backbone", None, "ModelConfig key backbone must be str, got NoneType"),
         ("train", "epochs", "1", "TrainConfig key epochs must be int, got str"),
         ("train", "betas", 0.9, "TrainConfig key betas must be tuple, got float"),
+        ("model", "t_past", 7, "t_past 6 disagrees with model.t_past 7"),
+        ("model", "t_future", 5, "t_future 4 disagrees with model.t_future 5"),
+        ("model", "seed", 1, "seed 0 disagrees with model.seed 1"),
+        ("train", "seed", 2, "seed 0 disagrees with train.seed 2"),
+        ("model", "n_nodes", 5, "model.n_nodes 5 disagrees with the panel's n_nodes 3"),
+        ("model", "past_exo_dim", 11,
+         "model.past_exo_dim 11 disagrees with the panel's past_exo_dim 12"),
+        ("model", "future_exo_dim", 13,
+         "model.future_exo_dim 13 disagrees with the panel's future_exo_dim 12"),
     ])
     def test_edited_config_fails(self, run_dir, tmp_path, capsys, command,
                                  section, name, value, message):
