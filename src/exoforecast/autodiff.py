@@ -77,13 +77,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.values.ndim
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def item(self) -> float:
-        return float(self.values)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -95,26 +88,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, index):
         return take_slice(self, index)

@@ -52,7 +52,11 @@ METRIC_COLUMNS = ("mae", "rmse", "mape", "mre")
 
 @dataclasses.dataclass
 class RunConfig:
-    """Merged, serializable view of one run's settings."""
+    """Merged, serializable view of one run's settings.
+
+    ``model`` and ``train`` are typed configs; ``to_dict`` writes them as the
+    nested JSON objects ``config_from_dict`` parses back into them.
+    """
 
     data: str
     schema: str
@@ -63,8 +67,8 @@ class RunConfig:
     use_past: bool
     use_future: bool
     use_date: bool
-    model: dict
-    train: dict
+    model: ModelConfig
+    train: TrainConfig
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -121,7 +125,7 @@ def _model_config(args, prepared: PreparedData) -> ModelConfig:
     return _settings(ModelConfig, args, **_panel_sizes(prepared))
 
 
-def _evaluate(model, run: RunConfig, prepared: PreparedData, horizons,
+def _evaluate(model, prepared: PreparedData, horizons,
               corrupt: str | None = None, corrupt_ratio: float = 0.0,
               corrupt_seed: int = 0) -> list[dict]:
     """One metric row per horizon in ``horizons`` (increasing day counts),
@@ -134,14 +138,13 @@ def _evaluate(model, run: RunConfig, prepared: PreparedData, horizons,
     """
     rows, history = [], None
     for days in horizons:
-        samples, _ = make_rollout_windows(prepared.test_panel, run.t_past,
-                                          run.t_future, days)
+        samples, _ = make_rollout_windows(prepared.test_panel, prepared.t_past,
+                                          prepared.t_future, days)
         if corrupt is not None:
             samples = corrupt_exogenous(samples, prepared.layout, corrupt,
                                         corrupt_ratio, corrupt_seed)
         record = evaluate(model, samples, prepared.scaler,
-                          prepared.target_channel, days=days,
-                          t_future=run.t_future, history=history)
+                          prepared.target_channel, history=history)
         history = record.history if corrupt is None else None
         rows.append({"horizon_days": days, **record.to_dict()})
     return rows
@@ -152,11 +155,10 @@ def _fit(run: RunConfig, prepared: PreparedData, horizons):
     run leaves out; the model, its ``TrainResult`` and one metric row per
     horizon in ``horizons``."""
     prepared = drop_exogenous(prepared, run.use_past, run.use_future, run.use_date)
-    model = ExoModel(ModelConfig.from_dict(run.model),
-                     target_series=prepared.train_target_series)
+    model = ExoModel(run.model, target_series=prepared.train_target_series)
     result = train(model, prepared.train, prepared.val, prepared.scaler,
-                   prepared.target_channel, config_from_dict(TrainConfig, run.train))
-    return model, result, _evaluate(model, run, prepared, horizons)
+                   prepared.target_channel, run.train)
+    return model, result, _evaluate(model, prepared, horizons)
 
 
 def _report(out_dir: Path, stem: str, rows: list[dict], lead: list[str]) -> None:
@@ -201,8 +203,8 @@ def cmd_synth(args) -> int:
 
 def _build_run(args, prepared: PreparedData) -> RunConfig:
     """The run archive for ``args``; the model config needs the layout widths."""
-    return _settings(RunConfig, args, model=_model_config(args, prepared).to_dict(),
-                     train=dataclasses.asdict(_settings(TrainConfig, args)))
+    return _settings(RunConfig, args, model=_model_config(args, prepared),
+                     train=_settings(TrainConfig, args))
 
 
 def cmd_train(args) -> int:
@@ -221,33 +223,33 @@ def cmd_train(args) -> int:
 def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
     """The run archived in ``model_dir``: its config, model and prepared panel.
 
-    ``config.json`` must hold its three configs, each field of its type, and
-    each setting it stores twice must agree: the top-level ``t_past``,
+    ``config.json`` is parsed once, into a ``RunConfig`` whose ``model`` and
+    ``train`` are typed configs, so every field must be present and of its
+    type. Each setting it stores twice must agree: the top-level ``t_past``,
     ``t_future`` and ``seed`` with ``model``'s, ``seed`` with ``train.seed``,
-    and the panel's node count and exogenous widths with ``model``'s. Any
-    other file is a one-line ``ValueError`` naming it and both values.
+    and the panel's node count and exogenous widths with ``model``'s. A file
+    that breaks either rule is a one-line ``ValueError`` naming it and, for
+    a disagreement, both values.
     """
     config_path = model_dir / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"missing model archive: {config_path}")
     try:
         run = config_from_dict(RunConfig, json.loads(config_path.read_text()))
-        model_cfg = ModelConfig.from_dict(run.model)
-        train_cfg = config_from_dict(TrainConfig, run.train)
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
     prepared = drop_exogenous(_load_prepared(run), run.use_past, run.use_future,
                               run.use_date)
-    twice = [(name, getattr(run, name), f"model.{name}", getattr(model_cfg, name))
+    twice = [(name, getattr(run, name), f"model.{name}", getattr(run.model, name))
              for name in ("t_past", "t_future", "seed")]
-    twice.append(("seed", run.seed, "train.seed", train_cfg.seed))
-    twice += [(f"model.{name}", getattr(model_cfg, name), f"the panel's {name}", value)
+    twice.append(("seed", run.seed, "train.seed", run.train.seed))
+    twice += [(f"model.{name}", getattr(run.model, name), f"the panel's {name}", value)
               for name, value in _panel_sizes(prepared).items()]
     for name, value, other, other_value in twice:
         if value != other_value:
             raise ValueError(f"{config_path}: {name} {value} disagrees with "
                              f"{other} {other_value}")
-    model = load_model(model_dir / "model.bin", model_cfg)
+    model = load_model(model_dir / "model.bin", run.model)
     return run, model, prepared
 
 
@@ -258,7 +260,7 @@ def cmd_eval(args) -> int:
     run, model, prepared = _load_run(model_dir)
     days = args.horizon_days or run.horizon_days
     _check_horizons(prepared, range(1, days + 1))
-    rows = _evaluate(model, run, prepared, range(1, days + 1),
+    rows = _evaluate(model, prepared, range(1, days + 1),
                      corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio or 0.0,
                      corrupt_seed=args.corrupt_seed)
     _report(Path(args.out) if args.out else model_dir, "metrics", rows, [])
@@ -282,8 +284,9 @@ def cmd_ablate(args) -> int:
             fusion="context", use_selector=True, use_balancer=True):
         run = dataclasses.replace(
             base, use_past=use_past, use_future=use_future, use_date=use_date,
-            model={**base.model, "fusion": fusion, "use_selector": use_selector,
-                   "use_balancer": use_balancer})
+            model=dataclasses.replace(base.model, fusion=fusion,
+                                      use_selector=use_selector,
+                                      use_balancer=use_balancer))
         _, _, (row,) = _fit(run, prepared, [run.horizon_days])
         rows.append({"variant": label, **row})
 
@@ -309,12 +312,12 @@ def cmd_corrupt_eval(args) -> int:
     days = args.horizon_days or run.horizon_days
     rows = []
     base = {"strategy": "none", "ratio": 0.0}
-    base.update(_evaluate(model, run, prepared, [days])[0])
+    base.update(_evaluate(model, prepared, [days])[0])
     rows.append(base)
     for strategy in ("zero", "random"):
         for ratio in CORRUPTION_RATIOS:
             row = {"strategy": strategy, "ratio": ratio}
-            row.update(_evaluate(model, run, prepared, [days], corrupt=strategy,
+            row.update(_evaluate(model, prepared, [days], corrupt=strategy,
                                  corrupt_ratio=ratio,
                                  corrupt_seed=args.corrupt_seed)[0])
             rows.append(row)

@@ -4,11 +4,14 @@ A panel is an N-node x T-step x F-variable observation block. Every variable
 carries a role (target / past / future / date); date channels are always
 synthesized from timestamps, never ingested from files.
 
-A split, a batch, a corrupted set and a rollout are all one ``Windows``.
-Cutting copies nothing per window: a segment's target, past+date and
-future+date channels are copied once into read-only blocks, and each field
-is a strided view of one. A split is windowed on its first use only, so a
-command that scores rollouts of the test panel windows no split at all.
+A panel is split along time into train, val and test segments by the fixed
+``SPLIT_SHARES``. A split, a batch, a corrupted set and a rollout are all one
+``Windows``, with a window starting at every step of its segment (a sparser
+set is ``windows[::k]``). Cutting copies nothing per window: a segment's
+target, past+date and future+date channels are copied once into read-only
+blocks, and each field is a strided view of one. A split is windowed on its
+first use only, so a command that scores rollouts of the test panel windows
+no split at all.
 
 Data ablation zeroes channels once, in the scaled split panels
 (``drop_exogenous``), so every window cut from them is ablated alike.
@@ -19,10 +22,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +57,6 @@ class Panel:
     roles: dict[str, VariableRole]
     data: np.ndarray
     mask: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n, t, f = len(self.node_ids), len(self.timestamps), len(self.variables)
@@ -105,12 +106,15 @@ _ROLE_TAGS = {r.value: r for r in VariableRole}
 def load_schema(path) -> dict[str, VariableRole]:
     """Read the sidecar descriptor mapping variable names to roles.
 
-    The file must hold a JSON object whose non-empty ``variables`` object
-    maps each name to a string role tag; anything else is a one-line
-    ``ValueError`` naming ``path``.
+    The file must be UTF-8 JSON holding an object whose non-empty
+    ``variables`` object maps each name to a string role tag; anything else
+    is a one-line ``ValueError`` naming ``path``.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"schema {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"schema {path} must be a JSON object, got {type(raw).__name__}")
     variables = raw.get("variables")
@@ -138,16 +142,9 @@ def save_schema(roles: dict[str, VariableRole], path) -> None:
         fh.write("\n")
 
 
-def load_panel(path, schema_path) -> Panel:
-    """Load a `node_id,timestamp,var...` delimited file plus its descriptor.
-
-    An empty cell (or ``nan``) is a missing value; an infinite one is an
-    error naming the file and line. Every node must share one timestamp
-    sequence at one cadence, the spacing of its first two steps: a missing
-    or doubled step is an error naming the file, the node and the first
-    pair of timestamps spaced otherwise.
-    """
-    roles = load_schema(schema_path)
+def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, list]]:
+    """The variables ``path``'s header names, and each node's (timestamp,
+    values) rows in file order, nodes in order of first appearance."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if len(header) < 3 or header[0] != "node_id" or header[1] != "timestamp":
@@ -155,9 +152,9 @@ def load_panel(path, schema_path) -> Panel:
         variables = header[2:]
         missing = set(variables) ^ set(roles)
         if missing:
-            raise ValueError(f"schema/header variable mismatch: {sorted(missing)}")
+            raise ValueError(f"{path}: header variables differ from schema "
+                             f"{schema_path}: {sorted(missing)}")
         per_node: dict[str, list] = {}
-        order: list[str] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -182,17 +179,34 @@ def load_panel(path, schema_path) -> Panel:
                     if math.isinf(value):
                         raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
                     row[j] = value
-            if node not in per_node:
-                per_node[node] = []
-                order.append(node)
-            per_node[node].append((ts, row))
+            per_node.setdefault(node, []).append((ts, row))
+    return variables, per_node
 
+
+def load_panel(path, schema_path) -> Panel:
+    """Load a `node_id,timestamp,var...` delimited file plus its descriptor.
+
+    An empty cell (or ``nan``) is a missing value; an infinite one is an
+    error naming the file and line. Every node must share one timestamp
+    sequence at one cadence, the spacing of its first two steps: a missing
+    or doubled step is an error naming the file, the node and the first
+    pair of timestamps spaced otherwise. Every error is one ``ValueError``
+    line naming the file it read; a header that disagrees with the schema
+    names both files.
+    """
+    roles = load_schema(schema_path)
+    try:
+        variables, per_node = _read_rows(path, schema_path, roles)
+    except UnicodeDecodeError as exc:  # a byte that is not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    order = list(per_node)
     if not order:
         raise ValueError(f"{path} contains no data rows")
     timestamps = [ts for ts, _ in per_node[order[0]]]
     for a, b in zip(timestamps, timestamps[1:]):
         if b <= a:
-            raise ValueError(f"non-monotone timestamps for node {order[0]}: {a} then {b}")
+            raise ValueError(
+                f"{path}: non-monotone timestamps for node {order[0]}: {a} then {b}")
         if b - a != timestamps[1] - timestamps[0]:
             raise ValueError(
                 f"{path}: irregular cadence for node {order[0]}: {a} then {b} "
@@ -201,17 +215,16 @@ def load_panel(path, schema_path) -> Panel:
     for i, node in enumerate(order):
         rows = per_node[node]
         if [ts for ts, _ in rows] != timestamps:
-            raise ValueError(f"node {node} timestamp sequence differs from node {order[0]}")
+            raise ValueError(
+                f"{path}: node {node} timestamp sequence differs from node {order[0]}")
         data[i] = np.stack([vals for _, vals in rows])
     mask = ~np.isnan(data)
-    return Panel(
-        node_ids=order,
-        timestamps=timestamps,
-        variables=variables,
-        roles={v: roles[v] for v in variables},
-        data=data,
-        mask=None if mask.all() else mask,
-    )
+    try:
+        return Panel(node_ids=order, timestamps=timestamps, variables=variables,
+                     roles={v: roles[v] for v in variables}, data=data,
+                     mask=None if mask.all() else mask)
+    except ValueError as exc:  # the schema declares no target, or several
+        raise ValueError(f"schema {schema_path}: {exc}") from None
 
 
 def save_panel(panel: Panel, path, schema_path=None) -> None:
@@ -270,6 +283,8 @@ def add_date_channels(panel: Panel) -> Panel:
 # Missing values, split, scaling
 # ---------------------------------------------------------------------------
 
+SPLIT_SHARES = (0.7, 0.2)  # train and val shares of the steps; test takes the rest
+
 def fill_missing(panel: Panel) -> Panel:
     """Forward-fill holes along time, then zero anything left at the head."""
     if panel.mask is None:
@@ -281,16 +296,12 @@ def fill_missing(panel: Panel) -> Panel:
     return replace(panel, data=data, mask=None)
 
 
-def chronological_split(panel: Panel, ratios: Sequence[float] = (0.7, 0.2, 0.1),
-                        min_length: int = 0) -> tuple[Panel, ...]:
-    """Split along time into contiguous segments; remainder goes to the last."""
-    ratios = list(ratios)
-    if any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be positive: {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1: {ratios}")
+def chronological_split(panel: Panel, min_length: int = 0) -> tuple[Panel, ...]:
+    """Split along time into contiguous train, val and test segments: the
+    first two take ``SPLIT_SHARES`` of the steps, rounded down, and test
+    takes the rest. A segment shorter than ``min_length`` is an error."""
     t = panel.n_steps
-    lengths = [int(math.floor(t * r)) for r in ratios[:-1]]
+    lengths = [int(math.floor(t * r)) for r in SPLIT_SHARES]
     lengths.append(t - sum(lengths))
     if min_length and any(n < min_length for n in lengths):
         raise ValueError(f"segment lengths {lengths} below minimum {min_length}")
@@ -319,9 +330,6 @@ class Scaler:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
 
     def transform_panel(self, panel: Panel) -> Panel:
         return replace(panel, data=self.transform(panel.data))
@@ -377,8 +385,8 @@ def feature_layout(panel: Panel) -> FeatureLayout:
     )
 
 
-def make_windows(panel: Panel, t_past: int, t_future: int,
-                 stride: int = 1) -> tuple[Windows, FeatureLayout]:
+def make_windows(panel: Panel, t_past: int,
+                 t_future: int) -> tuple[Windows, FeatureLayout]:
     """Cut sliding windows; E_future spans exactly the target horizon.
 
     The windows are read-only views into per-split blocks, not copies:
@@ -387,7 +395,7 @@ def make_windows(panel: Panel, t_past: int, t_future: int,
     if panel.n_steps < t_past + t_future:
         raise ValueError(
             f"segment length {panel.n_steps} shorter than {t_past}+{t_future}")
-    return make_rollout_windows(panel, t_past, t_future, 1, stride)
+    return make_rollout_windows(panel, t_past, t_future, 1)
 
 
 def check_rollout_length(panel: Panel, t_past: int, t_future: int, days: int) -> None:
@@ -399,14 +407,17 @@ def check_rollout_length(panel: Panel, t_past: int, t_future: int, days: int) ->
             f"segment length {panel.n_steps} too short for a {days}-day rollout")
 
 
-def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
-                         stride: int = 1) -> tuple[Windows, FeatureLayout]:
+def make_rollout_windows(panel: Panel, t_past: int, t_future: int,
+                         days: int) -> tuple[Windows, FeatureLayout]:
     """Windows for multi-day rollout: exogenous blocks extended over all days.
 
-    e_past covers [o, o + t_past + (days-1)*t_future) so each rolled day can
-    read the true past-exogenous values that have become observable by then;
-    e_future and y cover the full days*t_future horizon. Every field is a
-    read-only view whose window axis steps ``stride`` steps through a block.
+    A window starts at every step o that leaves room for it. x covers
+    [o, o + t_past); e_past covers [o, o + t_past + (days-1)*t_future) so
+    each rolled day can read the true past-exogenous values that have become
+    observable by then; e_future and y cover the full days*t_future horizon.
+    These shapes fix t_past, t_future and days, which ``evaluate`` reads back.
+    Every field is a read-only view whose window axis steps one step through
+    a block; ``windows[::k]`` keeps every k-th window as views too.
     """
     check_rollout_length(panel, t_past, t_future, days)
     date_idx = panel.indices_for(VariableRole.DATE)
@@ -416,7 +427,7 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
                      panel.indices_for(VariableRole.PAST) + date_idx,
                      panel.indices_for(VariableRole.FUTURE) + date_idx))
     horizon = days * t_future
-    offset = np.arange(0, panel.n_steps - t_past - horizon + 1, stride)
+    offset = np.arange(panel.n_steps - t_past - horizon + 1)
 
     def cut(block: np.ndarray, start: int, span: int) -> np.ndarray:
         # not sliding_window_view: its .base hides the block from byte counts
@@ -424,7 +435,7 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int, days: int,
         n_stride, t_stride, c_stride = block.strides
         return np.ndarray((len(offset), block.shape[0], span, block.shape[2]),
                           block.dtype, buffer=block, offset=start * t_stride,
-                          strides=(stride * t_stride, n_stride, t_stride, c_stride))
+                          strides=(t_stride, n_stride, t_stride, c_stride))
 
     windows = Windows(x=cut(target, 0, t_past),
                       e_past=cut(past, 0, t_past + horizon - t_future),
@@ -525,14 +536,12 @@ class PreparedData:
         return self.train_panel.data[:, :, self.target_channel]
 
 
-def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24,
-                   ratios: Sequence[float] = (0.7, 0.2, 0.1)) -> PreparedData:
+def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24) -> PreparedData:
     """Fill holes, synthesize date channels, split and scale; each split is
     windowed on first use (see ``PreparedData``)."""
     panel = fill_missing(panel)
     panel = add_date_channels(panel)
-    train_p, val_p, test_p = chronological_split(
-        panel, ratios, min_length=t_past + t_future)
+    train_p, val_p, test_p = chronological_split(panel, min_length=t_past + t_future)
     scaler = Scaler.fit(train_p)
     train_s = scaler.transform_panel(train_p)
     return PreparedData(
@@ -592,7 +601,7 @@ class SynthConfig:
 
 def synth_generate(cfg: SynthConfig) -> Panel:
     """Generate a panel whose target mixes lagged past-exo, a future driver,
-    a daily seasonal term and Gaussian noise; coefficients go to metadata."""
+    a daily seasonal term and Gaussian noise with ``cfg``'s coefficients."""
     rng = np.random.default_rng(cfg.seed)
     n, t = cfg.nodes, cfg.steps
     past_full = rng.standard_normal((n, t + cfg.lag))   # index i holds time i - lag
@@ -620,12 +629,4 @@ def synth_generate(cfg: SynthConfig) -> Panel:
             "future_driver": VariableRole.FUTURE,
         },
         data=data,
-        metadata={
-            "past_coef": cfg.past_coef,
-            "future_coef": cfg.future_coef,
-            "lag": cfg.lag,
-            "noise": cfg.noise,
-            "seasonal_amp": cfg.seasonal_amp,
-            "seed": cfg.seed,
-        },
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -77,14 +77,10 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return config_from_dict(cls, d)
-
 
 # value types a field of each declared type accepts (a JSON array for a
 # tuple); a ``bool`` fits only a ``bool`` field
-_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str, dict: dict,
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str,
                tuple: (list, tuple)}
 
 
@@ -94,7 +90,8 @@ def config_from_dict(cls, d):
     An archived config always holds every field, so an unknown or missing
     key, or a value whose JSON type does not fit the field's declared type,
     means the file is stale or edited: that is a ``ValueError`` naming the
-    keys, not a ``TypeError`` from the constructor.
+    keys, not a ``TypeError`` from the constructor. A field declared as a
+    dataclass is built from its JSON object by the same rules.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
@@ -105,13 +102,16 @@ def config_from_dict(cls, d):
             problems.append(f"{what} keys {', '.join(sorted(keys))}")
     if problems:
         raise ValueError(f"{cls.__name__} has " + " and ".join(problems))
+    values = dict(d)
     for name, declared in get_type_hints(cls).items():
         value = d[name]
-        if declared in _JSON_TYPES and (not isinstance(value, _JSON_TYPES[declared])
-                                        or isinstance(value, bool) != (declared is bool)):
+        if is_dataclass(declared):
+            values[name] = config_from_dict(declared, value)
+        elif declared in _JSON_TYPES and (not isinstance(value, _JSON_TYPES[declared])
+                                          or isinstance(value, bool) != (declared is bool)):
             raise ValueError(f"{cls.__name__} key {name} must be {declared.__name__}, "
                              f"got {type(value).__name__}")
-    return cls(**d)
+    return cls(**values)
 
 
 class ExoModel:

@@ -226,15 +226,14 @@ def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
     return result
 
 
-def evaluate(model, samples: Windows, scaler: Scaler,
-             target_channel: int, days: int = 1,
-             t_future: Optional[int] = None, *,
+def evaluate(model, samples: Windows, scaler: Scaler, target_channel: int, *,
              history: Optional[np.ndarray] = None) -> MetricsRecord:
-    """Denormalized metrics over a ``days``-day rollout; a 1-day forecast is
-    a 1-day rollout, whose ``t_future`` defaults to the windows' horizon.
+    """Denormalized metrics over the rollout that ``samples`` span.
 
     The ``Windows`` come from ``make_rollout_windows`` (or, for one day, the
-    equal ``make_windows``): each day's forecast is appended to the endogenous
+    equal ``make_windows``), whose shapes fix the rollout: ``x`` spans
+    t_past steps, ``e_past`` t_past + (days-1)*t_future and ``e_future``
+    days*t_future. Each day's forecast is appended to the endogenous
     history while the true exogenous channels advance day by day.
 
     ``history`` continues a shorter rollout instead of starting at day 1:
@@ -248,15 +247,9 @@ def evaluate(model, samples: Windows, scaler: Scaler,
     if not samples:
         raise ValueError("no evaluation samples")
     x, e_p, e_f, y = stack_samples(samples)
-    if t_future is None:
-        if days != 1:
-            raise ValueError("multi-day evaluation needs t_future")
-        t_future = e_f.shape[2]
-    if e_f.shape[2] != days * t_future:
-        raise ValueError(
-            f"samples carry {e_f.shape[2]} future steps, expected "
-            f"{days * t_future}; build them with make_rollout_windows")
     t_past = x.shape[2]
+    t_future = e_f.shape[2] - (e_p.shape[2] - t_past)
+    days = e_f.shape[2] // t_future
     done = 0 if history is None else _days_done(history, x, t_future, days)
     history = x if history is None else history[:len(x)]
     for d in range(done, days):

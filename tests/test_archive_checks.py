@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from exoforecast.cli import main
-from exoforecast.model import ModelConfig, load_model, load_tensors, save_tensors
+from exoforecast.model import (ModelConfig, config_from_dict, load_model, load_tensors,
+                               save_tensors)
 
 ADJ = "graph.static_adjacency"
 TINY = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
@@ -100,7 +101,8 @@ def test_load_model_names_archive_and_tensor(runs, tmp_path, case):
     model_dir, name = _damaged(runs, tmp_path, case)
     config = json.loads((model_dir / "config.json").read_text())
     with pytest.raises(ValueError) as info:
-        load_model(model_dir / "model.bin", ModelConfig.from_dict(config["model"]))
+        load_model(model_dir / "model.bin",
+                   config_from_dict(ModelConfig, config["model"]))
     message = str(info.value)
     assert "\n" not in message
     assert str(model_dir / "model.bin") in message and name in message

@@ -78,6 +78,18 @@ class TestTrain:
             assert (out / name).read_bytes() == \
                 (trained_dir / name).read_bytes(), name
 
+    def test_mse_loss_is_archived_with_a_finite_history(self, synth_dir, tmp_path):
+        rc = main(["train", "--data", str(synth_dir / "panel.csv"),
+                   "--schema", str(synth_dir / "panel.schema.json"),
+                   "--out", str(tmp_path), "--seed", "1", *TINY_TRAIN,
+                   "--epochs", "2", "--loss", "mse"])
+        assert rc == 0
+        assert json.loads((tmp_path / "config.json").read_text())["train"]["loss"] == "mse"
+        history = [json.loads(line) for line in
+                   (tmp_path / "history.jsonl").read_text().splitlines()]
+        assert len(history) == 2
+        assert all(np.isfinite([h["loss"], h["val_mae"]]).all() for h in history)
+
 
 ARCHIVE_DAMAGE = {
     "inside-magic": lambda blob: blob[:4],
@@ -274,9 +286,10 @@ class TestAblatedRollout:
         seen = []
         real_evaluate = cli.evaluate
 
-        def spy(model, samples, *args, days, **kwargs):
-            seen.append((days, samples))
-            return real_evaluate(model, samples, *args, days=days, **kwargs)
+        def spy(model, samples, *args, **kwargs):
+            x, e_past, y = (a.shape[2] for a in (samples.x, samples.e_past, samples.y))
+            seen.append((y // (y - (e_past - x)), samples))
+            return real_evaluate(model, samples, *args, **kwargs)
 
         monkeypatch.setattr(cli, "evaluate", spy)
         data = ["--data", str(synth_dir / "panel.csv"),

@@ -3,6 +3,7 @@ with one line."""
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,72 @@ class TestSchemaFiles:
         assert not out.exists()
 
 
+def _rows(edit):
+    """A damage that rewrites the panel's lines (header first) with ``edit``."""
+    def damage(csv: bytes, schema: bytes):
+        return b"\n".join(edit(csv.splitlines())) + b"\n", schema
+    return damage
+
+
+def _drop_n1_row(lines):
+    n1 = [i for i, line in enumerate(lines) if line.startswith(b"n1,")]
+    return [line for i, line in enumerate(lines) if i != n1[100]]
+
+
+# case: (the files its error names, damage to the panel and schema bytes, words
+# the error holds)
+PANEL_DAMAGE = {
+    "malformed-header": (
+        ["csv"], _rows(lambda lines: [b"node," + lines[0][8:], *lines[1:]]),
+        "malformed header"),
+    "header-schema-mismatch": (
+        ["csv", "schema"], _rows(lambda lines: [l.rsplit(b",", 1)[0] for l in lines]),
+        "header variables differ from schema"),
+    "bad-timestamp": (
+        ["csv"], _rows(lambda lines: [lines[0], lines[1].replace(b"T00:", b"T25:"),
+                                      *lines[2:]]),
+        "bad timestamp"),
+    "bad-value": (
+        ["csv"], _rows(lambda lines: [lines[0], lines[1] + b"x", *lines[2:]]),
+        "bad value"),
+    "no-data-rows": (["csv"], _rows(lambda lines: lines[:1]), "no data rows"),
+    "node-timestamps-differ": (
+        ["csv"], _rows(_drop_n1_row),
+        "node n1 timestamp sequence differs from node n0"),
+    "panel-not-utf8": (
+        ["csv"], _rows(lambda lines: [lines[0], lines[1] + b"\xff", *lines[2:]]),
+        "can't decode byte 0xff"),
+    "schema-not-json": (
+        ["schema"], lambda csv, schema: (csv, b'{"variables": '), "Expecting value"),
+    "schema-not-utf8": (
+        ["schema"], lambda csv, schema: (csv, b"\xff\xfe"), "can't decode byte 0xff"),
+    "schema-without-target": (
+        ["schema"],
+        lambda csv, schema: (csv, schema.replace(b'"target": "target"',
+                                                 b'"target": "past"')),
+        "exactly one target channel required"),
+}
+
+
+class TestPanelFiles:
+    @pytest.mark.parametrize("case", sorted(PANEL_DAMAGE))
+    def test_unreadable_file_fails_with_one_line_naming_it(self, data, tmp_path,
+                                                           capsys, case):
+        names, damage, words = PANEL_DAMAGE[case]
+        files = {"csv": tmp_path / "panel.csv", "schema": tmp_path / "panel.schema.json"}
+        blobs = damage(Path(data[1]).read_bytes(), Path(data[3]).read_bytes())
+        for path, blob in zip(files.values(), blobs):
+            path.write_bytes(blob)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", "--data", str(files["csv"]), "--schema",
+                     str(files["schema"]), *TINY, "--out", str(out)]) == 1
+        line = _one_error_line(capsys)
+        assert words in line
+        assert all(str(files[name]) in line for name in names), line
+        assert not out.exists()
+
+
 def _model_dict(**changes) -> dict:
     d = ModelConfig(n_nodes=2, past_exo_dim=1, future_exo_dim=1).to_dict()
     return {**d, **changes}
@@ -136,7 +203,7 @@ class TestConfigTypes:
         run = RunConfig(data="p.csv", schema="s.json", seed=0, t_past=6, t_future=4,
                         horizon_days=1, use_past=True, use_future=True, use_date=True,
                         model={}, train={}).to_dict()
-        with pytest.raises(ValueError, match="^RunConfig key model must be dict, got list$"):
+        with pytest.raises(ValueError, match="^ModelConfig must be a JSON object, got list$"):
             config_from_dict(RunConfig, {**run, "model": []})
 
     @pytest.mark.parametrize("key, value, message", [

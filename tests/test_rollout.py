@@ -28,12 +28,12 @@ TINY = ["--t-past", str(T_PAST), "--t-future", str(T_FUTURE),
         "--epochs", "2", "--batch", "64", "--keep-prob", "1.0", "--seed", "1"]
 
 
-def _from_day_one(model, samples, scaler, target_channel, days=1,
-                  t_future=None, history=None):
+def _from_day_one(model, samples, scaler, target_channel, history=None):
     """Every horizon rolled from day 1, ignoring any shorter rollout."""
     x, e_p, e_f, y = stack_samples(samples)
-    t_future = t_future or e_f.shape[2]
     t_past = x.shape[2]
+    t_future = e_f.shape[2] - (e_p.shape[2] - t_past)
+    days = e_f.shape[2] // t_future
     rolled = x
     for d in range(days):
         lo = d * t_future

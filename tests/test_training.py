@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from exoforecast.autodiff import Tensor
+from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.data import (
     SynthConfig,
     make_rollout_windows,
@@ -20,6 +20,7 @@ from exoforecast.training import (
     EarlyStopper,
     MetricsRecord,
     TrainConfig,
+    _loss_tensor,
     adamw_step,
     cosine_lr,
     evaluate,
@@ -231,6 +232,18 @@ class TestTrain:
                        prepared.target_channel, cfg)
         assert len(result.history) == 3
 
+    @pytest.mark.parametrize("kind, oracle", [
+        ("mae", lambda d: np.mean(np.abs(d))),
+        ("mse", lambda d: np.mean(d ** 2)),
+    ])
+    def test_loss_equals_numpy_and_gradchecks(self, kind, oracle):
+        rng = np.random.default_rng(4)
+        pred = Tensor(rng.normal(size=(3, 2, 4, 1)))
+        y = rng.normal(size=(3, 2, 4, 1))
+        got = _loss_tensor(pred, y, kind).values
+        assert got.tobytes() == np.float64(oracle(pred.values - y)).tobytes()
+        assert grad_check(lambda: _loss_tensor(pred, y, kind), pred) < 1e-4
+
     @pytest.mark.parametrize("backbone", ["grugcn", "mlp-mixer"])
     def test_view_windows_train_like_copies(self, backbone):
         prepared = _tiny_prepared()
@@ -281,9 +294,8 @@ class TestEvaluate:
                                             prepared.target_channel))
         assert rec.mae == direct.mae and rec.rmse == direct.rmse
         rollout, _ = make_rollout_windows(prepared.test_panel, 6, 4, days=1)
-        for samples, t_future in ((prepared.test, None), (rollout, 4)):
-            got = evaluate(model, samples, prepared.scaler, prepared.target_channel,
-                           days=1, t_future=t_future)
+        for samples in (prepared.test, rollout):
+            got = evaluate(model, samples, prepared.scaler, prepared.target_channel)
             for name in ("mae", "rmse", "mape", "mre", "count"):
                 a, b = getattr(got, name), getattr(direct, name)
                 assert np.array(a).tobytes() == np.array(b).tobytes(), name
@@ -294,21 +306,14 @@ class TestEvaluate:
         _, _, _, y = stack_samples(samples)
         truth = [y[:, :, 0:4], y[:, :, 4:8], y[:, :, 8:12]]
         rec = evaluate(_OracleModel(truth), samples, prepared.scaler,
-                       prepared.target_channel, days=3, t_future=4)
+                       prepared.target_channel)
         assert rec.mae == 0.0
-
-    def test_rollout_requires_extended_windows(self):
-        prepared = _tiny_prepared()
-        with pytest.raises(ValueError, match="make_rollout_windows"):
-            evaluate(_tiny_model(prepared), prepared.test, prepared.scaler,
-                     prepared.target_channel, days=2, t_future=4)
 
     def test_rollout_runs_with_real_model(self):
         prepared = _tiny_prepared(steps=260)
         model = _tiny_model(prepared)
         samples, _ = make_rollout_windows(prepared.test_panel, 6, 4, days=2)
-        rec = evaluate(model, samples, prepared.scaler,
-                       prepared.target_channel, days=2, t_future=4)
+        rec = evaluate(model, samples, prepared.scaler, prepared.target_channel)
         assert rec.count == len(samples) * 2 * 8
 
 
@@ -327,8 +332,7 @@ class TestRolloutHistory:
     def _evaluate(rollouts, days, history=None):
         prepared, model, samples = rollouts
         return evaluate(model, samples[days], prepared.scaler,
-                        prepared.target_channel, days=days, t_future=4,
-                        history=history)
+                        prepared.target_channel, history=history)
 
     @pytest.mark.parametrize("done,days", [(0, 1), (1, 2), (2, 3), (1, 3)])
     def test_continued_equals_rolled_from_day_one(self, rollouts, monkeypatch,

@@ -57,9 +57,9 @@ def windowed(draw):
     panel = _panel(draw(st.integers(1, 3)), t, draw(st.integers(0, 2)),
                    draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
     if days == 1 and draw(st.booleans()):
-        windows, _ = make_windows(panel, t_past, t_future, stride)
+        windows = make_windows(panel, t_past, t_future)[0][::stride]
     else:
-        windows, _ = make_rollout_windows(panel, t_past, t_future, days, stride)
+        windows = make_rollout_windows(panel, t_past, t_future, days)[0][::stride]
     idx = np.array(draw(st.lists(st.integers(0, len(windows) - 1),
                                  min_size=1, max_size=12)))
     return panel, windows, (t_past, t_future, days, stride), idx
