@@ -358,7 +358,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 def dropout(x, keep_prob: float, rng: np.random.Generator, train: bool) -> Tensor:
     """Inverted dropout: eval is the identity, train scales survivors by 1/p."""
     x = as_tensor(x)
-    _check_keep_prob(keep_prob)
+    check_keep_prob(keep_prob)
     if not train or keep_prob == 1.0:
         out = x.values.copy()
 
@@ -375,8 +375,8 @@ def dropout(x, keep_prob: float, rng: np.random.Generator, train: bool) -> Tenso
     return _record("dropout", (x,), out, vjp)
 
 
-def _check_keep_prob(keep_prob: float) -> None:
-    if not 0.0 < keep_prob <= 1.0:
+def check_keep_prob(keep_prob: float) -> None:
+    if not 0.0 < keep_prob <= 1.0:  # also false for nan
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
 
 
@@ -646,7 +646,7 @@ def cond_embed(x, e, w_x, w_e, b, activation: str = "relu", keep_prob: float = 1
     er = ev.reshape((rows, steps, ev.shape[-1]))
     keep = None
     if rng is not None:
-        _check_keep_prob(keep_prob)
+        check_keep_prob(keep_prob)
         keep = (rng.random(lead + (steps, width)) < keep_prob).reshape(rows, steps, width)
     chunks = _row_chunks(rows, steps * width)
 

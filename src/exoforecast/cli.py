@@ -44,6 +44,7 @@ from .model import ExoModel, ModelConfig, config_from_dict, load_model, save_mod
 from .training import TrainConfig, TrainResult, evaluate, train
 
 METRIC_COLUMNS = ("mae", "rmse", "mape", "mre")
+HORIZON_DAYS = (1, 2, 3)  # the rollout lengths, in days, a run may score
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,11 @@ class RunConfig:
     use_date: bool
     model: ModelConfig
     train: TrainConfig
+
+    def __post_init__(self):
+        if self.horizon_days not in HORIZON_DAYS:
+            raise ValueError(f"horizon_days must be one of {HORIZON_DAYS}, "
+                             f"got {self.horizon_days}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -310,17 +316,11 @@ def cmd_corrupt_eval(args) -> int:
     model_dir = Path(args.model_dir)
     run, model, prepared = _load_run(model_dir)
     days = args.horizon_days or run.horizon_days
-    rows = []
-    base = {"strategy": "none", "ratio": 0.0}
-    base.update(_evaluate(model, prepared, [days])[0])
-    rows.append(base)
-    for strategy in ("zero", "random"):
-        for ratio in CORRUPTION_RATIOS:
-            row = {"strategy": strategy, "ratio": ratio}
-            row.update(_evaluate(model, prepared, [days], corrupt=strategy,
-                                 corrupt_ratio=ratio,
-                                 corrupt_seed=args.corrupt_seed)[0])
-            rows.append(row)
+    rows = [{"strategy": "none", "ratio": 0.0, **_evaluate(model, prepared, [days])[0]}]
+    rows += [{"strategy": strategy, "ratio": ratio,
+              **_evaluate(model, prepared, [days], corrupt=strategy, corrupt_ratio=ratio,
+                          corrupt_seed=args.corrupt_seed)[0]}
+             for strategy in ("zero", "random") for ratio in CORRUPTION_RATIOS]
     _report(Path(args.out) if args.out else model_dir, "corruption", rows,
             ["strategy", "ratio"])
     return 0
@@ -390,7 +390,7 @@ def _add_run_flags(p):
     p.add_argument("--loss", choices=("mae", "mse"), default=TrainConfig.loss)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
-    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3), default=1)
+    p.add_argument("--horizon-days", type=int, choices=HORIZON_DAYS, default=1)
 
 
 def _add_archive_flags(p, *, corrupt: bool):
@@ -398,7 +398,7 @@ def _add_archive_flags(p, *, corrupt: bool):
     single-strategy corruption flags of ``eval``."""
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out")
-    p.add_argument("--horizon-days", type=int, choices=(1, 2, 3))
+    p.add_argument("--horizon-days", type=int, choices=HORIZON_DAYS)
     if corrupt:
         p.add_argument("--corrupt", choices=("zero", "random"))
         p.add_argument("--corrupt-ratio", type=float)

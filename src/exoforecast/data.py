@@ -62,10 +62,12 @@ class Panel:
         n, t, f = len(self.node_ids), len(self.timestamps), len(self.variables)
         if self.data.shape != (n, t, f):
             raise ValueError(f"data shape {self.data.shape} != ({n}, {t}, {f})")
+        if len(set(self.variables)) != f:
+            raise ValueError(f"variable names repeat: {self.variables}")
         for v in self.variables:
             if v not in self.roles:
                 raise ValueError(f"variable {v!r} has no declared role")
-        targets = [v for v in self.variables if self.roles[v] == VariableRole.TARGET]
+        targets = self.names_for(VariableRole.TARGET)
         if len(targets) != 1:
             raise ValueError(f"exactly one target channel required, got {targets}")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
@@ -82,6 +84,9 @@ class Panel:
 
     def indices_for(self, role: VariableRole) -> list[int]:
         return [i for i, v in enumerate(self.variables) if self.roles[v] == role]
+
+    def names_for(self, role: VariableRole) -> list[str]:
+        return [v for v in self.variables if self.roles[v] == role]
 
     @property
     def target_index(self) -> int:
@@ -107,8 +112,9 @@ def load_schema(path) -> dict[str, VariableRole]:
     """Read the sidecar descriptor mapping variable names to roles.
 
     The file must be UTF-8 JSON holding an object whose non-empty
-    ``variables`` object maps each name to a string role tag; anything else
-    is a one-line ``ValueError`` naming ``path``.
+    ``variables`` object maps each name that is not a ``DATE_CHANNELS`` name
+    to a string role tag; anything else is a one-line ``ValueError`` naming
+    ``path``.
     """
     try:
         with open(path) as fh:
@@ -131,6 +137,9 @@ def load_schema(path) -> dict[str, VariableRole]:
         if role == VariableRole.DATE:
             raise ValueError(f"schema {path}: date channels are synthesized, never "
                              "ingested raw")
+        if name in DATE_CHANNELS:
+            raise ValueError(f"schema {path}: variable {name!r} is the name of a "
+                             "synthesized date channel")
         roles[name] = role
     return roles
 
@@ -144,19 +153,31 @@ def save_schema(roles: dict[str, VariableRole], path) -> None:
 
 def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, list]]:
     """The variables ``path``'s header names, and each node's (timestamp,
-    values) rows in file order, nodes in order of first appearance."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
+    values) rows in file order, nodes in order of first appearance.
+
+    The file is read as bytes and decoded line by line, so a byte that is
+    not UTF-8 is reported by its line. A line ends at ``\\n`` or ``\\r\\n``.
+    """
+    def decoded(lineno: int, raw: bytes) -> str:
+        try:
+            return raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    with open(path, "rb") as fh:
+        header = decoded(1, fh.readline()).split(",")
         if len(header) < 3 or header[0] != "node_id" or header[1] != "timestamp":
             raise ValueError(f"malformed header in {path}: {header}")
         variables = header[2:]
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"{path}: header names a variable twice: {header}")
         missing = set(variables) ^ set(roles)
         if missing:
             raise ValueError(f"{path}: header variables differ from schema "
                              f"{schema_path}: {sorted(missing)}")
         per_node: dict[str, list] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+        for lineno, raw in enumerate(fh, start=2):
+            line = decoded(lineno, raw)
             if not line:
                 continue
             cells = line.split(",")
@@ -195,10 +216,7 @@ def load_panel(path, schema_path) -> Panel:
     names both files.
     """
     roles = load_schema(schema_path)
-    try:
-        variables, per_node = _read_rows(path, schema_path, roles)
-    except UnicodeDecodeError as exc:  # a byte that is not UTF-8
-        raise ValueError(f"{path}: {exc}") from None
+    variables, per_node = _read_rows(path, schema_path, roles)
     order = list(per_node)
     if not order:
         raise ValueError(f"{path} contains no data rows")
@@ -344,7 +362,8 @@ class Scaler:
 
 @dataclass
 class FeatureLayout:
-    """Column bookkeeping for the windowed exogenous blocks."""
+    """The columns of the windowed exogenous blocks, by variable name, and
+    which of them are date channels."""
 
     past: list[str]          # names of E_past columns, date channels last
     future: list[str]        # names of E_future columns, date channels last
@@ -372,17 +391,14 @@ class Windows:
 
 
 def feature_layout(panel: Panel) -> FeatureLayout:
-    """The columns windows of ``panel`` carry in each exogenous block."""
-    past_idx = panel.indices_for(VariableRole.PAST)
-    fut_idx = panel.indices_for(VariableRole.FUTURE)
-    date_idx = panel.indices_for(VariableRole.DATE)
-    names = panel.variables
-    return FeatureLayout(
-        past=[names[i] for i in past_idx + date_idx],
-        future=[names[i] for i in fut_idx + date_idx],
-        past_is_date=np.array([False] * len(past_idx) + [True] * len(date_idx)),
-        future_is_date=np.array([False] * len(fut_idx) + [True] * len(date_idx)),
-    )
+    """The columns windows of ``panel`` carry in each exogenous block: the
+    block's role columns, then the date channels, each in panel order."""
+    dates = panel.names_for(VariableRole.DATE)
+    past = panel.names_for(VariableRole.PAST) + dates
+    future = panel.names_for(VariableRole.FUTURE) + dates
+    return FeatureLayout(past=past, future=future,
+                         past_is_date=np.isin(past, dates),
+                         future_is_date=np.isin(future, dates))
 
 
 def make_windows(panel: Panel, t_past: int,
@@ -420,12 +436,10 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int,
     a block; ``windows[::k]`` keeps every k-th window as views too.
     """
     check_rollout_length(panel, t_past, t_future, days)
-    date_idx = panel.indices_for(VariableRole.DATE)
+    layout = feature_layout(panel)
     target, past, future = (
-        np.take(panel.data, cols, axis=2)
-        for cols in ([panel.target_index],
-                     panel.indices_for(VariableRole.PAST) + date_idx,
-                     panel.indices_for(VariableRole.FUTURE) + date_idx))
+        np.take(panel.data, [panel.variables.index(v) for v in names], axis=2)
+        for names in (panel.names_for(VariableRole.TARGET), layout.past, layout.future))
     horizon = days * t_future
     offset = np.arange(panel.n_steps - t_past - horizon + 1)
 
@@ -441,7 +455,7 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int,
                       e_past=cut(past, 0, t_past + horizon - t_future),
                       e_future=cut(future, t_past, horizon),
                       y=cut(target, t_past, horizon), offset=offset)
-    return windows, feature_layout(panel)
+    return windows, layout
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +494,9 @@ def mask_exogenous(samples: Windows, layout: FeatureLayout,
                    use_past: bool = True, use_future: bool = True,
                    use_date: bool = True) -> Windows:
     """Zero out whole exogenous groups in windows, as ``drop_exogenous`` does."""
-    past_kill = np.zeros(len(layout.past), bool)
-    fut_kill = np.zeros(len(layout.future), bool)
-    if not use_past:
-        past_kill |= ~layout.past_is_date
-    if not use_future:
-        fut_kill |= ~layout.future_is_date
-    if not use_date:
-        past_kill |= layout.past_is_date
-        fut_kill |= layout.future_is_date
     e_past, e_future = samples.e_past.copy(), samples.e_future.copy()
-    e_past[..., past_kill] = 0.0
-    e_future[..., fut_kill] = 0.0
+    e_past[..., np.where(layout.past_is_date, not use_date, not use_past)] = 0.0
+    e_future[..., np.where(layout.future_is_date, not use_date, not use_future)] = 0.0
     return replace(samples, e_past=e_past, e_future=e_future)
 
 
@@ -512,7 +517,6 @@ class PreparedData:
 
     layout: FeatureLayout
     scaler: Scaler
-    target_channel: int
     train_panel: Panel
     val_panel: Panel
     test_panel: Panel
@@ -532,6 +536,10 @@ class PreparedData:
         return make_windows(self.test_panel, self.t_past, self.t_future)[0]
 
     @property
+    def target_channel(self) -> int:
+        return self.train_panel.target_index
+
+    @property
     def train_target_series(self) -> np.ndarray:
         return self.train_panel.data[:, :, self.target_channel]
 
@@ -544,13 +552,10 @@ def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24) -> Prepar
     train_p, val_p, test_p = chronological_split(panel, min_length=t_past + t_future)
     scaler = Scaler.fit(train_p)
     train_s = scaler.transform_panel(train_p)
-    return PreparedData(
-        layout=feature_layout(train_s), scaler=scaler,
-        target_channel=train_s.target_index, train_panel=train_s,
-        val_panel=scaler.transform_panel(val_p),
-        test_panel=scaler.transform_panel(test_p),
-        t_past=t_past, t_future=t_future,
-    )
+    return PreparedData(layout=feature_layout(train_s), scaler=scaler, train_panel=train_s,
+                        val_panel=scaler.transform_panel(val_p),
+                        test_panel=scaler.transform_panel(test_p),
+                        t_past=t_past, t_future=t_future)
 
 
 def drop_exogenous(prepared: PreparedData, use_past: bool = True,

@@ -146,5 +146,4 @@ def attention_enhance(s_p: Tensor, s_f: Tensor, params: AttentionParams
 
 def fuse_attention(y_p: Tensor, y_f: Tensor, params: AttentionParams) -> Tensor:
     """Average of the two attention-enhanced states."""
-    enhanced_p, enhanced_f = attention_enhance(y_p, y_f, params)
-    return ad.add(ad.mul(enhanced_p, 0.5), ad.mul(enhanced_f, 0.5))
+    return fuse_simple(*attention_enhance(y_p, y_f, params))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import BackboneSpec, backbone_forward, init_backbone
+from .backbones import BACKBONE_KINDS, BackboneSpec, backbone_forward, init_backbone
 from .fusion import (
     FUSION_STRATEGIES,
     AttentionParams,
@@ -29,7 +29,7 @@ from .fusion import (
     init_balancer,
     init_learnable_weights,
 )
-from .graphs import Graph, build_graph, row_normalize, with_self_loops
+from .graphs import GRAPH_KINDS, Graph, build_graph, row_normalize, with_self_loops
 from .selector import (
     init_cond_embed,
     init_expert_bank,
@@ -71,8 +71,12 @@ class ModelConfig:
                      "graph_k", "graph_embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.keep_prob <= 1.0:  # also false for nan
-            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        for name, allowed in (("backbone", BACKBONE_KINDS), ("graph_kind", GRAPH_KINDS),
+                              ("fusion", FUSION_STRATEGIES), ("activation", ad.ACTIVATIONS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
+        ad.check_keep_prob(self.keep_prob)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -124,8 +128,6 @@ class ExoModel:
     def __init__(self, config: ModelConfig,
                  target_series: Optional[np.ndarray] = None,
                  static_adjacency: Optional[np.ndarray] = None):
-        if config.fusion not in FUSION_STRATEGIES:
-            raise ValueError(f"unknown fusion strategy {config.fusion!r}")
         self.config = config
         cfg = config
         rng = np.random.default_rng(cfg.seed)
@@ -231,7 +233,7 @@ class ExoModel:
         head_f = backbone_f.readout
         out_p = ad.add(ad.matmul(enh_p, head_p.w_out), head_p.b_out)
         out_f = ad.add(ad.matmul(enh_f, head_f.w_out), head_f.b_out)
-        return ad.add(ad.mul(out_p, 0.5), ad.mul(out_f, 0.5)), None
+        return fuse_simple(out_p, out_f), None
 
     def predict(self, x, e_past, e_future) -> np.ndarray:
         """Eval-mode forward returning plain values.

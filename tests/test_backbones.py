@@ -22,10 +22,7 @@ from exoforecast.backbones import (
 )
 from exoforecast.data import SynthConfig, prepare_splits, synth_generate
 from exoforecast.model import ExoModel, ModelConfig
-
-
-def _sigmoid(v):
-    return 1.0 / (1.0 + math.exp(-v))
+from helpers import sigmoid
 
 
 def readout_oracle(feat, p, t_future, hidden):
@@ -52,10 +49,10 @@ def grugcn_oracle(x, adj, p, t_future, hidden):
         new = np.zeros((n, h))
         for i in range(n):
             cat = list(s[i]) + list(state[i])
-            z = [_sigmoid(sum(cat[f] * p.w_z.values[f, j] for f in range(2 * h))
-                          + p.b_z.values[j]) for j in range(h)]
-            r = [_sigmoid(sum(cat[f] * p.w_r.values[f, j] for f in range(2 * h))
-                          + p.b_r.values[j]) for j in range(h)]
+            z = [sigmoid(sum(cat[f] * p.w_z.values[f, j] for f in range(2 * h))
+                         + p.b_z.values[j]) for j in range(h)]
+            r = [sigmoid(sum(cat[f] * p.w_r.values[f, j] for f in range(2 * h))
+                         + p.b_r.values[j]) for j in range(h)]
             cat_r = list(s[i]) + [r[j] * state[i, j] for j in range(h)]
             c = [math.tanh(sum(cat_r[f] * p.w_c.values[f, j] for f in range(2 * h))
                            + p.b_c.values[j]) for j in range(h)]

@@ -1,5 +1,6 @@
 """Tests for panel ingestion, encoding, splitting, windowing and corruption."""
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -191,6 +192,13 @@ class TestEncodeTime:
         # broadcast identically to all nodes
         np.testing.assert_array_equal(panel.data[0, :, 3:], panel.data[1, :, 3:])
         with pytest.raises(ValueError, match="already"):
+            add_date_channels(panel)
+
+    def test_variable_named_like_a_date_channel_rejected(self):
+        panel = tiny_panel()
+        panel = replace(panel, variables=["tgt", "hour_sin", "fexo"],
+                        roles={**panel.roles, "hour_sin": VariableRole.PAST})
+        with pytest.raises(ValueError, match=r"^variable names repeat: .*'hour_sin'"):
             add_date_channels(panel)
 
 

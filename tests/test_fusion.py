@@ -20,10 +20,7 @@ from exoforecast.fusion import (
     init_balancer,
     init_learnable_weights,
 )
-
-
-def _sigmoid(v):
-    return 1.0 / (1.0 + math.exp(-v))
+from helpers import sigmoid
 
 
 def context_oracle(yp, yf, p):
@@ -34,8 +31,8 @@ def context_oracle(yp, yf, p):
     width = p.w1.shape[1]
     hidden = [max(0.0, sum(d[s] * p.w1.values[s, j] for s in range(t))
                    + p.b1.values[j]) for j in range(width)]
-    alpha = [_sigmoid(sum(hidden[j] * p.w2.values[j, s] for j in range(width))
-                      + p.b2.values[s]) for s in range(t)]
+    alpha = [sigmoid(sum(hidden[j] * p.w2.values[j, s] for j in range(width))
+                     + p.b2.values[s]) for s in range(t)]
     yhat = np.zeros_like(yp)
     for i in range(n):
         for s in range(t):

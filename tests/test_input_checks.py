@@ -14,18 +14,10 @@ from exoforecast.data import SynthConfig
 from exoforecast.graphs import build_graph, pearson_topk_adjacency
 from exoforecast.model import ModelConfig, config_from_dict
 from exoforecast.training import TrainConfig
+from helpers import one_error_line
 
 TINY = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
         "--backbone", "grugcn", "--graph", "pearson", "--epochs", "1", "--batch", "64"]
-
-
-@pytest.fixture(scope="module")
-def data(tmp_path_factory):
-    out = tmp_path_factory.mktemp("synth")
-    assert main(["synth", "--out", str(out), "--nodes", "3", "--steps", "200",
-                 "--seed", "5"]) == 0
-    return ["--data", str(out / "panel.csv"),
-            "--schema", str(out / "panel.schema.json")]
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +25,6 @@ def run_dir(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("run")
     assert main(["train", *data, *TINY, "--graph-k", "1", "--out", str(out)]) == 0
     return out
-
-
-def _one_error_line(capsys) -> str:
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), captured.err
-    return err[0]
 
 
 class TestSynthSizes:
@@ -54,7 +39,7 @@ class TestSynthSizes:
                                            message):
         out = tmp_path / "out"
         assert main(["synth", "--out", str(out), flag, value]) == 1
-        assert _one_error_line(capsys) == f"error: {message}"
+        assert one_error_line(capsys) == f"error: {message}"
         assert not out.exists()
 
     def test_smallest_sizes_are_accepted(self):
@@ -71,14 +56,14 @@ class TestGraphSizes:
         monkeypatch.setattr(cli, "train", fail)
         out = tmp_path / "out"
         assert main(["train", *data, *TINY, "--graph-k", k, "--out", str(out)]) == 1
-        assert _one_error_line(capsys) == f"error: graph_k must be >= 1, got {k}"
+        assert one_error_line(capsys) == f"error: graph_k must be >= 1, got {k}"
         assert not out.exists()
 
     def test_graph_command_rejects_negative_k(self, data, tmp_path, capsys):
         out = tmp_path / "adj.tsv"
         assert main(["graph", *data, "--t-past", "6", "--t-future", "4",
                      "--graph-k", "-3", "--out", str(out)]) == 1
-        assert _one_error_line(capsys) == "error: graph_k must be >= 1, got -3"
+        assert one_error_line(capsys) == "error: graph_k must be >= 1, got -3"
         assert not out.exists()
 
     def test_negative_k_is_rejected(self):
@@ -105,7 +90,7 @@ class TestSchemaFiles:
         out = tmp_path / "out"
         assert main(["train", *data[:2], "--schema", str(path), *TINY,
                      "--out", str(out)]) == 1
-        assert _one_error_line(capsys) == "error: " + message.format(path=path)
+        assert one_error_line(capsys) == "error: " + message.format(path=path)
         assert not out.exists()
 
 
@@ -144,6 +129,18 @@ PANEL_DAMAGE = {
     "panel-not-utf8": (
         ["csv"], _rows(lambda lines: [lines[0], lines[1] + b"\xff", *lines[2:]]),
         "can't decode byte 0xff"),
+    "panel-not-utf8-on-line-501": (
+        ["csv"], _rows(lambda lines: [*lines[:500], lines[500] + b"\xff", *lines[501:]]),
+        ":501: 'utf-8' codec can't decode byte 0xff"),
+    "header-repeats-a-variable": (
+        ["csv"], _rows(lambda lines: [lines[0] + b",past_driver",
+                                      *(line + b",0.5" for line in lines[1:])]),
+        "header names a variable twice"),
+    "variable-named-like-a-date-channel": (
+        ["schema"],
+        lambda csv, schema: (csv.replace(b"past_driver", b"hour_sin"),
+                             schema.replace(b"past_driver", b"hour_sin")),
+        "variable 'hour_sin' is the name of a synthesized date channel"),
     "schema-not-json": (
         ["schema"], lambda csv, schema: (csv, b'{"variables": '), "Expecting value"),
     "schema-not-utf8": (
@@ -169,7 +166,7 @@ class TestPanelFiles:
         capsys.readouterr()
         assert main(["train", "--data", str(files["csv"]), "--schema",
                      str(files["schema"]), *TINY, "--out", str(out)]) == 1
-        line = _one_error_line(capsys)
+        line = one_error_line(capsys)
         assert words in line
         assert all(str(files[name]) in line for name in names), line
         assert not out.exists()
@@ -213,6 +210,8 @@ class TestConfigTypes:
         ("t_past", 7, "t_past 7 disagrees with model.t_past 6"),
         ("t_future", 5, "t_future 5 disagrees with model.t_future 4"),
         ("seed", 3, "seed 3 disagrees with model.seed 0"),
+        ("horizon_days", 0, "horizon_days must be one of (1, 2, 3), got 0"),
+        ("horizon_days", 7, "horizon_days must be one of (1, 2, 3), got 7"),
     ])
     def test_edited_run_section_fails(self, run_dir, tmp_path, capsys, key, value,
                                       message):
@@ -223,7 +222,7 @@ class TestConfigTypes:
         (model_dir / "config.json").write_text(json.dumps(config))
         assert main(["eval", "--model-dir", str(model_dir),
                      "--out", str(tmp_path / "out")]) == 1
-        assert _one_error_line(capsys) == \
+        assert one_error_line(capsys) == \
             f"error: {model_dir / 'config.json'}: {message}"
         assert not (tmp_path / "out").exists()
 
@@ -238,7 +237,7 @@ class TestConfigTypes:
         capsys.readouterr()
         assert main(["eval", "--model-dir", str(model_dir),
                      "--out", str(tmp_path / "out")]) == 1
-        assert _one_error_line(capsys) == (
+        assert one_error_line(capsys) == (
             f"error: {model_dir / 'config.json'}: "
             "model.n_nodes 3 disagrees with the panel's n_nodes 5")
         assert not (tmp_path / "out").exists()

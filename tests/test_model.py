@@ -1,6 +1,5 @@
 """Tests for the assembled forecasting model."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +9,7 @@ from exoforecast import autodiff as ad
 from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.model import ExoModel, ModelConfig, load_model, load_tensors, save_model, save_tensors
+from helpers import sigmoid
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -27,10 +27,6 @@ def tiny_inputs(cfg, seed=0, batch=None):
     e_p = rng.normal(size=shape + (cfg.t_past, cfg.past_exo_dim))
     e_f = rng.normal(size=shape + (cfg.t_future, cfg.future_exo_dim))
     return x, e_p, e_f
-
-
-def _sigmoid(v):
-    return 1.0 / (1.0 + math.exp(-v))
 
 
 def forward_oracle(model: ExoModel, x, e_p, e_f):
@@ -86,7 +82,7 @@ def forward_oracle(model: ExoModel, x, e_p, e_f):
     d = ysum.mean(axis=0)[:, 0]
     b = model.balancer
     hidden = np.maximum(d @ b.w1.values + b.b1.values, 0.0)
-    alpha = np.array([_sigmoid(v) for v in hidden @ b.w2.values + b.b2.values])
+    alpha = np.array([sigmoid(v) for v in hidden @ b.w2.values + b.b2.values])
     y_hat = alpha[None, :, None] * y_p + (1 - alpha[None, :, None]) * y_f + ysum
     return y_hat, alpha
 

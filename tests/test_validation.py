@@ -10,6 +10,7 @@ from exoforecast import cli
 from exoforecast.cli import main
 from exoforecast.model import ModelConfig
 from exoforecast.training import TrainConfig
+from helpers import one_error_line
 
 TINY = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
         "--mix-hidden", "4", "--backbone", "mlp-mixer", "--epochs", "2",
@@ -25,26 +26,10 @@ def _with(flags, changes):
 
 
 @pytest.fixture(scope="module")
-def data(tmp_path_factory):
-    out = tmp_path_factory.mktemp("synth")
-    assert main(["synth", "--out", str(out), "--nodes", "3", "--steps", "200",
-                 "--seed", "5"]) == 0
-    return ["--data", str(out / "panel.csv"),
-            "--schema", str(out / "panel.schema.json")]
-
-
-@pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("run")
     assert main(["train", *data, *TINY, "--out", str(out)]) == 0
     return out
-
-
-def _one_error_line(capsys) -> str:
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), captured.err
-    return err[0]
 
 
 def _fail(*args, **kwargs):
@@ -108,7 +93,7 @@ class TestCommandLine:
         out = tmp_path / "out"
         rc = main([command, *data, *_with(TINY, changes), "--out", str(out)])
         assert rc == 1
-        assert _one_error_line(capsys) == f"error: {message}"
+        assert one_error_line(capsys) == f"error: {message}"
         assert not out.exists()
 
     def test_negative_learning_rates_fail(self, data, tmp_path, capsys, monkeypatch):
@@ -117,7 +102,7 @@ class TestCommandLine:
         rc = main(["train", *data, *TINY, "--lr-max", "-1", "--lr-min", "-2",
                    "--out", str(out)])
         assert rc == 1
-        assert _one_error_line(capsys) == "error: lr_min must be >= 0, got -2.0"
+        assert one_error_line(capsys) == "error: lr_min must be >= 0, got -2.0"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "corrupt-eval"])
@@ -135,6 +120,14 @@ class TestCommandLine:
         ("model", "keep_prob", "0.9", "ModelConfig key keep_prob must be float, got str"),
         ("model", "use_selector", 1, "ModelConfig key use_selector must be bool, got int"),
         ("model", "backbone", None, "ModelConfig key backbone must be str, got NoneType"),
+        ("model", "backbone", "bogus",
+         "backbone must be one of grugcn, mlp-mixer, got 'bogus'"),
+        ("model", "graph_kind", "bogus", "graph_kind must be one of pearson, adaptive, "
+         "adaptive-directed, identity, got 'bogus'"),
+        ("model", "fusion", "bogus", "fusion must be one of context, shared, simple, "
+         "learnable, attention, got 'bogus'"),
+        ("model", "activation", "bogus", "activation must be one of relu, identity, "
+         "tanh, sigmoid, leaky-relu, got 'bogus'"),
         ("train", "epochs", "1", "TrainConfig key epochs must be int, got str"),
         ("train", "betas", 0.9, "TrainConfig key betas must be tuple, got float"),
         ("model", "t_past", 7, "t_past 6 disagrees with model.t_past 7"),
@@ -158,7 +151,7 @@ class TestCommandLine:
         rc = main([command, "--model-dir", str(model_dir),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert _one_error_line(capsys) == \
+        assert one_error_line(capsys) == \
             f"error: {model_dir / 'config.json'}: {message}"
         assert not (tmp_path / "out").exists()
         assert sorted(p.name for p in model_dir.iterdir()) == before
@@ -168,7 +161,7 @@ class TestCommandLine:
         rc = main(["eval", "--model-dir", str(run_dir), "--corrupt-ratio", ratio,
                    "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert _one_error_line(capsys) == "error: --corrupt-ratio needs --corrupt"
+        assert one_error_line(capsys) == "error: --corrupt-ratio needs --corrupt"
         assert not (tmp_path / "out").exists()
 
     def test_corrupt_without_ratio_scores_clean_windows(self, run_dir, tmp_path):
