@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    CORRUPTIONS,
     PreparedData,
     SynthConfig,
     check_rollout_length,
@@ -41,7 +42,7 @@ from .backbones import BACKBONE_KINDS
 from .fusion import FUSION_STRATEGIES
 from .graphs import GRAPH_KINDS, build_graph
 from .model import ExoModel, ModelConfig, config_from_dict, load_model, save_model
-from .training import TrainConfig, TrainResult, evaluate, train
+from .training import LOSSES, TrainConfig, TrainResult, evaluate, train
 
 METRIC_COLUMNS = ("mae", "rmse", "mape", "mre")
 HORIZON_DAYS = (1, 2, 3)  # the rollout lengths, in days, a run may score
@@ -320,7 +321,7 @@ def cmd_corrupt_eval(args) -> int:
     rows += [{"strategy": strategy, "ratio": ratio,
               **_evaluate(model, prepared, [days], corrupt=strategy, corrupt_ratio=ratio,
                           corrupt_seed=args.corrupt_seed)[0]}
-             for strategy in ("zero", "random") for ratio in CORRUPTION_RATIOS]
+             for strategy in CORRUPTIONS for ratio in CORRUPTION_RATIOS]
     _report(Path(args.out) if args.out else model_dir, "corruption", rows,
             ["strategy", "ratio"])
     return 0
@@ -332,17 +333,19 @@ def cmd_graph(args) -> int:
     with. An adaptive kind draws its embeddings from ``--seed`` alone.
 
     The flags pass ``train``'s checks first, in its words, so ``--graph-k``
-    below 1 fails as it does there. ``--out`` reports the ``--graph`` kind."""
+    below 1 fails as it does there, and the graph is built from the
+    ``ModelConfig`` those checks made. ``--out`` reports the ``--graph`` kind."""
     prepared = _load_prepared(args)
-    n_nodes = _model_config(args, prepared).n_nodes
-    graph = build_graph(args.graph_kind, n_nodes,
-                        target_series=prepared.train_target_series, k=args.graph_k,
-                        rng=np.random.default_rng(args.seed))
+    cfg = _model_config(args, prepared)
+    graph = build_graph(cfg.graph_kind, cfg.n_nodes,
+                        target_series=prepared.train_target_series, k=cfg.graph_k,
+                        embed_dim=cfg.graph_embed_dim,
+                        rng=np.random.default_rng(cfg.seed))
     text = "".join("\t".join(repr(float(v)) for v in row) + "\n"
                    for row in graph.matrix().values)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({args.graph_kind}, {n_nodes} nodes)")
+        print(f"wrote {args.out} ({cfg.graph_kind}, {cfg.n_nodes} nodes)")
     else:
         print(text, end="")
     return 0
@@ -387,7 +390,7 @@ def _add_run_flags(p):
     p.add_argument("--lr-max", type=float, default=TrainConfig.lr_max)
     p.add_argument("--lr-min", type=float, default=TrainConfig.lr_min)
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--loss", choices=("mae", "mse"), default=TrainConfig.loss)
+    p.add_argument("--loss", choices=LOSSES, default=TrainConfig.loss)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.add_argument("--horizon-days", type=int, choices=HORIZON_DAYS, default=1)
@@ -400,7 +403,7 @@ def _add_archive_flags(p, *, corrupt: bool):
     p.add_argument("--out")
     p.add_argument("--horizon-days", type=int, choices=HORIZON_DAYS)
     if corrupt:
-        p.add_argument("--corrupt", choices=("zero", "random"))
+        p.add_argument("--corrupt", choices=CORRUPTIONS)
         p.add_argument("--corrupt-ratio", type=float)
     p.add_argument("--corrupt-seed", type=int, default=0)
 

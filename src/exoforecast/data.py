@@ -23,7 +23,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -211,9 +211,10 @@ def load_panel(path, schema_path) -> Panel:
     error naming the file and line. Every node must share one timestamp
     sequence at one cadence, the spacing of its first two steps: a missing
     or doubled step is an error naming the file, the node and the first
-    pair of timestamps spaced otherwise. Every error is one ``ValueError``
-    line naming the file it read; a header that disagrees with the schema
-    names both files.
+    pair of timestamps spaced otherwise. A target variable with no observed
+    value is an error naming it. Every error is one ``ValueError`` line
+    naming the file it read; a header that disagrees with the schema names
+    both files.
     """
     roles = load_schema(schema_path)
     variables, per_node = _read_rows(path, schema_path, roles)
@@ -238,11 +239,15 @@ def load_panel(path, schema_path) -> Panel:
         data[i] = np.stack([vals for _, vals in rows])
     mask = ~np.isnan(data)
     try:
-        return Panel(node_ids=order, timestamps=timestamps, variables=variables,
-                     roles={v: roles[v] for v in variables}, data=data,
-                     mask=None if mask.all() else mask)
+        panel = Panel(node_ids=order, timestamps=timestamps, variables=variables,
+                      roles={v: roles[v] for v in variables}, data=data,
+                      mask=None if mask.all() else mask)
     except ValueError as exc:  # the schema declares no target, or several
         raise ValueError(f"schema {schema_path}: {exc}") from None
+    if not mask[:, :, panel.target_index].any():
+        raise ValueError(f"{path}: target {variables[panel.target_index]!r} "
+                         "has no observed value")
+    return panel
 
 
 def save_panel(panel: Panel, path, schema_path=None) -> None:
@@ -462,6 +467,9 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int,
 # Corruption
 # ---------------------------------------------------------------------------
 
+CORRUPTIONS = ("zero", "random")  # the strategies ``corrupt_exogenous`` takes
+
+
 def corrupt_exogenous(samples: Windows, layout: FeatureLayout,
                       strategy: str, ratio: float, seed: int) -> Windows:
     """Randomly replace exogenous entries with zeros or standard-normal draws.
@@ -470,7 +478,7 @@ def corrupt_exogenous(samples: Windows, layout: FeatureLayout,
     window by window, past block before future block. Date channels and
     targets never change.
     """
-    if strategy not in ("zero", "random"):
+    if strategy not in CORRUPTIONS:
         raise ValueError(f"unknown corruption strategy {strategy!r}")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
@@ -544,7 +552,7 @@ class PreparedData:
         return self.train_panel.data[:, :, self.target_channel]
 
 
-def prepare_splits(panel: Panel, t_past: int = 24, t_future: int = 24) -> PreparedData:
+def prepare_splits(panel: Panel, t_past: int, t_future: int) -> PreparedData:
     """Fill holes, synthesize date channels, split and scale; each split is
     windowed on first use (see ``PreparedData``)."""
     panel = fill_missing(panel)
@@ -595,29 +603,31 @@ class SynthConfig:
     seed: int = 0
     past_coef: float = 1.0
     future_coef: float = 1.0
-    seasonal_amp: float = 0.5
-    start: str = "2019-01-01T00:00:00"
 
     def __post_init__(self):
         for name, least in (("nodes", 1), ("steps", 2), ("lag", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("past_coef", "future_coef"):
+            if not abs(getattr(self, name)) < math.inf:  # also true for nan
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.noise < math.inf:  # also true for nan
+            raise ValueError(f"noise must be >= 0 and finite, got {self.noise}")
 
 
 def synth_generate(cfg: SynthConfig) -> Panel:
-    """Generate a panel whose target mixes lagged past-exo, a future driver,
-    a daily seasonal term and Gaussian noise with ``cfg``'s coefficients."""
+    """Generate an hourly panel from 2019-01-01T00:00 whose target mixes
+    lagged past-exo, a future driver and Gaussian noise with ``cfg``'s
+    coefficients, plus a daily seasonal term of amplitude 0.5."""
     rng = np.random.default_rng(cfg.seed)
     n, t = cfg.nodes, cfg.steps
     past_full = rng.standard_normal((n, t + cfg.lag))   # index i holds time i - lag
     future_drv = rng.standard_normal((n, t))
     eps = rng.standard_normal((n, t))
-    from datetime import timedelta
-    start = datetime.fromisoformat(cfg.start)
-    timestamps = [start + timedelta(hours=i) for i in range(t)]
+    timestamps = [datetime(2019, 1, 1) + timedelta(hours=i) for i in range(t)]
     hours = np.array([ts.hour for ts in timestamps])
-    seasonal = cfg.seasonal_amp * (np.sin(2 * np.pi * hours / 24.0)
-                                   + 0.4 * np.cos(2 * np.pi * hours / 24.0))
+    seasonal = 0.5 * (np.sin(2 * np.pi * hours / 24.0)
+                      + 0.4 * np.cos(2 * np.pi * hours / 24.0))
     target = (cfg.past_coef * past_full[:, :t]
               + cfg.future_coef * future_drv
               + seasonal[None, :]

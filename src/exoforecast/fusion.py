@@ -40,10 +40,12 @@ class AttentionParams(Params):
     w_v: Tensor
 
 
-def init_balancer(t_future: int, rng: np.random.Generator, reduction: int = 4,
+def init_balancer(t_future: int, rng: np.random.Generator,
                   scalar: bool = False) -> BalancerParams:
+    """A 4x bottleneck of at least 4 units over T_f weights, or over 1 when
+    ``scalar``."""
     dim = 1 if scalar else t_future
-    width = max(dim // max(reduction, 1), 4)
+    width = max(dim // 4, 4)
     return BalancerParams(
         w1=ad.uniform_parameter(rng, (dim, width), dim),
         b1=Tensor(np.zeros(width), requires_grad=True),

@@ -47,7 +47,6 @@ class ModelConfig:
     n_nodes: int
     past_exo_dim: int
     future_exo_dim: int
-    endo_dim: int = 1
     t_past: int = 24
     t_future: int = 24
     hidden: int = 64
@@ -60,7 +59,6 @@ class ModelConfig:
     graph_k: int = 8
     graph_embed_dim: int = 8
     fusion: str = "context"
-    reduction: int = 4
     alpha_per_sample: bool = False
     use_selector: bool = True
     use_balancer: bool = True
@@ -82,10 +80,9 @@ class ModelConfig:
         return asdict(self)
 
 
-# value types a field of each declared type accepts (a JSON array for a
-# tuple); a ``bool`` fits only a ``bool`` field
-_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str,
-               tuple: (list, tuple)}
+# value types a field of each declared type accepts; a ``bool`` fits only a
+# ``bool`` field
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
 
 def config_from_dict(cls, d):
@@ -131,9 +128,10 @@ class ExoModel:
         self.config = config
         cfg = config
         rng = np.random.default_rng(cfg.seed)
-        self.embed_p = init_cond_embed(cfg.endo_dim, cfg.past_exo_dim, cfg.hidden,
+        # one endogenous input: a window's ``x`` is the target channel alone
+        self.embed_p = init_cond_embed(1, cfg.past_exo_dim, cfg.hidden,
                                        rng, cfg.activation, cfg.keep_prob)
-        self.embed_f = init_cond_embed(cfg.endo_dim, cfg.future_exo_dim, cfg.hidden,
+        self.embed_f = init_cond_embed(1, cfg.future_exo_dim, cfg.hidden,
                                        rng, cfg.activation, cfg.keep_prob)
         self.bank_p = init_expert_bank(cfg.hidden, cfg.experts, rng)
         self.bank_f = init_expert_bank(cfg.hidden, cfg.experts, rng)
@@ -144,7 +142,7 @@ class ExoModel:
         self.backbone_f = (None if cfg.fusion == "shared"
                            else init_backbone(self.spec, t_in, rng))
         self.balancer: Optional[BalancerParams] = (
-            init_balancer(cfg.t_future, rng, cfg.reduction, scalar=cfg.alpha_per_sample)
+            init_balancer(cfg.t_future, rng, scalar=cfg.alpha_per_sample)
             if cfg.fusion == "context" else None)
         self.learnable_w: Optional[Tensor] = (
             init_learnable_weights() if cfg.fusion == "learnable" else None)

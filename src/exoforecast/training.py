@@ -15,6 +15,7 @@ from .data import Scaler, Windows
 from .model import ExoModel
 
 MAPE_GUARD = 1e-8
+LOSSES = ("mae", "mse")  # the training losses ``TrainConfig.loss`` names
 
 
 @dataclass
@@ -68,9 +69,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     patience: int = 30
     seed: int = 0
-    loss: str = "mae"            # "mae" | "mse"
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
+    loss: str = "mae"            # one of LOSSES
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "patience"):
@@ -78,10 +77,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.lr_min >= 0.0:  # also true for nan
             raise ValueError(f"lr_min must be >= 0, got {self.lr_min}")
+        if not self.lr_max < math.inf:  # also true for nan
+            raise ValueError(f"lr_max must be finite, got {self.lr_max}")
         if self.lr_min >= self.lr_max:
             raise ValueError("lr_min must be below lr_max")
-        if self.loss not in ("mae", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if not 0.0 <= self.weight_decay < math.inf:  # also true for nan
+            raise ValueError("weight_decay must be >= 0 and finite, "
+                             f"got {self.weight_decay}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"loss must be one of {', '.join(LOSSES)}, "
+                             f"got {self.loss!r}")
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:
@@ -202,8 +207,7 @@ def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch + 1}, batch {n_batches + 1}")
             tape.backward(loss)
-            adamw_step(params, state, lr, config.betas, config.eps,
-                       config.weight_decay)
+            adamw_step(params, state, lr, weight_decay=config.weight_decay)
             epoch_loss += loss_val
             n_batches += 1
         val_mae = evaluate(model, val_samples, scaler, target_channel).mae

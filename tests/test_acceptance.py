@@ -76,7 +76,7 @@ def report(number: int, name: str):
 
 
 def toy_model(fusion="context", seed=0, **overrides) -> ExoModel:
-    base = dict(n_nodes=2, past_exo_dim=1, future_exo_dim=1, endo_dim=1,
+    base = dict(n_nodes=2, past_exo_dim=1, future_exo_dim=1,
                 t_past=3, t_future=2, hidden=2, experts=2, backbone="grugcn",
                 graph_kind="identity", mix_hidden=3, keep_prob=1.0,
                 fusion=fusion, seed=seed)

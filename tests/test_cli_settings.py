@@ -1,8 +1,10 @@
 """Every flag lands in the config field of its name; the dataclasses own the
-defaults; and ``ablate`` derives each variant from one base run."""
+defaults; every config field is set by something; and ``ablate`` derives each
+variant from one base run."""
 
+import argparse
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -118,6 +120,31 @@ def test_synth_flag_sets_its_field(tmp_path, flag, field, value):
     written = json.loads((tmp_path / "synth_config.json").read_text())
     assert written == asdict(SynthConfig()) | {field: value}
     assert getattr(SynthConfig(), field) != value
+
+
+# the ModelConfig fields that no flag sets but that tests build models with
+# other values of
+MODEL_VARIANTS = ("activation", "alpha_per_sample", "graph_embed_dim")
+
+
+def _dests(command: str) -> set:
+    """The dest of every flag ``command`` takes."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+def test_every_config_field_is_set_by_something(synth_dir):
+    """A config field is a flag of the command that builds the config, a size
+    the panel decides, or a model variant that tests set."""
+    panel = load_panel(synth_dir / "panel.csv", synth_dir / "panel.schema.json")
+    sized = set(cli._panel_sizes(prepare_splits(panel, 6, 4)))
+    unset = []
+    for cls, command in ((ModelConfig, "train"), (TrainConfig, "train"),
+                         (SynthConfig, "synth")):
+        known = _dests(command) | sized | set(MODEL_VARIANTS)
+        unset += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in known]
+    assert unset == []
 
 
 ABLATION_VARIANTS = [  # (use_past, use_future, use_date, fusion, use_selector, use_balancer)

@@ -34,6 +34,12 @@ class TestSynthSizes:
         ("--steps", "1", "steps must be >= 2, got 1"),
         ("--steps", "0", "steps must be >= 2, got 0"),
         ("--lag", "-2", "lag must be >= 0, got -2"),
+        ("--noise", "nan", "noise must be >= 0 and finite, got nan"),
+        ("--noise", "inf", "noise must be >= 0 and finite, got inf"),
+        ("--noise", "-0.1", "noise must be >= 0 and finite, got -0.1"),
+        ("--past-coef", "inf", "past_coef must be finite, got inf"),
+        ("--past-coef", "nan", "past_coef must be finite, got nan"),
+        ("--future-coef", "nan", "future_coef must be finite, got nan"),
     ])
     def test_bad_size_fails_before_writing(self, tmp_path, capsys, flag, value,
                                            message):
@@ -101,6 +107,13 @@ def _rows(edit):
     return damage
 
 
+def _blank_target(lines):
+    col = lines[0].split(b",").index(b"target")
+    return [lines[0], *(b",".join(b"" if j == col else cell
+                                  for j, cell in enumerate(line.split(b",")))
+                        for line in lines[1:])]
+
+
 def _drop_n1_row(lines):
     n1 = [i for i, line in enumerate(lines) if line.startswith(b"n1,")]
     return [line for i, line in enumerate(lines) if i != n1[100]]
@@ -123,6 +136,8 @@ PANEL_DAMAGE = {
         ["csv"], _rows(lambda lines: [lines[0], lines[1] + b"x", *lines[2:]]),
         "bad value"),
     "no-data-rows": (["csv"], _rows(lambda lines: lines[:1]), "no data rows"),
+    "target-never-observed": (
+        ["csv"], _rows(_blank_target), "target 'target' has no observed value"),
     "node-timestamps-differ": (
         ["csv"], _rows(_drop_n1_row),
         "node n1 timestamp sequence differs from node n0"),

@@ -13,7 +13,7 @@ from helpers import sigmoid
 
 
 def tiny_config(**overrides) -> ModelConfig:
-    base = dict(n_nodes=2, past_exo_dim=1, future_exo_dim=1, endo_dim=1,
+    base = dict(n_nodes=2, past_exo_dim=1, future_exo_dim=1,
                 t_past=3, t_future=2, hidden=2, experts=2, backbone="grugcn",
                 graph_kind="identity", mix_hidden=3, keep_prob=1.0, seed=0)
     base.update(overrides)
@@ -23,7 +23,7 @@ def tiny_config(**overrides) -> ModelConfig:
 def tiny_inputs(cfg, seed=0, batch=None):
     rng = np.random.default_rng(seed)
     shape = (cfg.n_nodes,) if batch is None else (batch, cfg.n_nodes)
-    x = rng.normal(size=shape + (cfg.t_past, cfg.endo_dim))
+    x = rng.normal(size=shape + (cfg.t_past, 1))
     e_p = rng.normal(size=shape + (cfg.t_past, cfg.past_exo_dim))
     e_f = rng.normal(size=shape + (cfg.t_future, cfg.future_exo_dim))
     return x, e_p, e_f

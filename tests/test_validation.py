@@ -18,10 +18,14 @@ TINY = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
 
 
 def _with(flags, changes):
-    """``flags`` with each ``--name value`` pair in ``changes`` replaced."""
+    """``flags`` with each ``--name value`` pair in ``changes`` replaced, or
+    appended if ``flags`` lacks it."""
     out = list(flags)
     for flag, value in changes.items():
-        out[out.index(flag) + 1] = value
+        if flag in out:
+            out[out.index(flag) + 1] = value
+        else:
+            out += [flag, value]
     return out
 
 
@@ -81,6 +85,11 @@ BAD_FLAGS = [
     ({"--epochs": "-2"}, "epochs must be >= 1, got -2"),
     ({"--batch": "0"}, "batch_size must be >= 1, got 0"),
     ({"--batch": "-3"}, "batch_size must be >= 1, got -3"),
+    ({"--lr-max": "nan"}, "lr_max must be finite, got nan"),
+    ({"--lr-max": "inf"}, "lr_max must be finite, got inf"),
+    ({"--weight-decay": "nan"}, "weight_decay must be >= 0 and finite, got nan"),
+    ({"--weight-decay": "inf"}, "weight_decay must be >= 0 and finite, got inf"),
+    ({"--weight-decay": "-1"}, "weight_decay must be >= 0 and finite, got -1.0"),
 ]
 
 
@@ -129,7 +138,13 @@ class TestCommandLine:
         ("model", "activation", "bogus", "activation must be one of relu, identity, "
          "tanh, sigmoid, leaky-relu, got 'bogus'"),
         ("train", "epochs", "1", "TrainConfig key epochs must be int, got str"),
-        ("train", "betas", 0.9, "TrainConfig key betas must be tuple, got float"),
+        ("train", "weight_decay", -1.0, "weight_decay must be >= 0 and finite, got -1.0"),
+        ("train", "lr_max", math.inf, "lr_max must be finite, got inf"),
+        ("train", "loss", "bogus", "loss must be one of mae, mse, got 'bogus'"),
+        ("model", "endo_dim", 1, "ModelConfig has unknown keys endo_dim"),
+        ("model", "reduction", 4, "ModelConfig has unknown keys reduction"),
+        ("train", "betas", [0.9, 0.999], "TrainConfig has unknown keys betas"),
+        ("train", "eps", 1e-8, "TrainConfig has unknown keys eps"),
         ("model", "t_past", 7, "t_past 6 disagrees with model.t_past 7"),
         ("model", "t_future", 5, "t_future 4 disagrees with model.t_future 5"),
         ("model", "seed", 1, "seed 0 disagrees with model.seed 1"),
