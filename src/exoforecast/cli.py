@@ -339,7 +339,6 @@ def cmd_graph(args) -> int:
     cfg = _model_config(args, prepared)
     graph = build_graph(cfg.graph_kind, cfg.n_nodes,
                         target_series=prepared.train_target_series, k=cfg.graph_k,
-                        embed_dim=cfg.graph_embed_dim,
                         rng=np.random.default_rng(cfg.seed))
     text = "".join("\t".join(repr(float(v)) for v in row) + "\n"
                    for row in graph.matrix().values)

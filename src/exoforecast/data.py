@@ -211,8 +211,10 @@ def load_panel(path, schema_path) -> Panel:
     error naming the file and line. Every node must share one timestamp
     sequence at one cadence, the spacing of its first two steps: a missing
     or doubled step is an error naming the file, the node and the first
-    pair of timestamps spaced otherwise. A target variable with no observed
-    value is an error naming it. Every error is one ``ValueError`` line
+    pair of timestamps spaced otherwise. A target variable that some node
+    never observes is an error naming it and the first such node, since
+    ``fill_missing`` would zero-fill that node's target and the loss and
+    metrics would score the zeros. Every error is one ``ValueError`` line
     naming the file it read; a header that disagrees with the schema names
     both files.
     """
@@ -244,9 +246,10 @@ def load_panel(path, schema_path) -> Panel:
                       mask=None if mask.all() else mask)
     except ValueError as exc:  # the schema declares no target, or several
         raise ValueError(f"schema {schema_path}: {exc}") from None
-    if not mask[:, :, panel.target_index].any():
-        raise ValueError(f"{path}: target {variables[panel.target_index]!r} "
-                         "has no observed value")
+    observed = mask[:, :, panel.target_index].any(axis=1)
+    if not observed.all():
+        raise ValueError(f"{path}: target {variables[panel.target_index]!r} has no "
+                         f"observed value for node {order[int(observed.argmin())]}")
     return panel
 
 

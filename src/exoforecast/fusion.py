@@ -22,13 +22,12 @@ FUSION_STRATEGIES = ("context", "shared", "simple", "learnable", "attention")
 
 @dataclass
 class BalancerParams(Params):
-    """Bottleneck MLP generating the balancing weight: one per horizon step
-    when ``w1`` has T_f rows, one per sample when it has 1."""
+    """Bottleneck MLP generating the balancing weight, one per horizon step."""
 
-    w1: Tensor   # (D, width) where D = T_f, or 1 in per-sample-scalar mode
+    w1: Tensor   # (T_f, width)
     b1: Tensor   # (width,)
-    w2: Tensor   # (width, D)
-    b2: Tensor   # (D,)
+    w2: Tensor   # (width, T_f)
+    b2: Tensor   # (T_f,)
 
 
 @dataclass
@@ -40,17 +39,15 @@ class AttentionParams(Params):
     w_v: Tensor
 
 
-def init_balancer(t_future: int, rng: np.random.Generator,
-                  scalar: bool = False) -> BalancerParams:
-    """A 4x bottleneck of at least 4 units over T_f weights, or over 1 when
-    ``scalar``."""
-    dim = 1 if scalar else t_future
-    width = max(dim // 4, 4)
+def init_balancer(t_future: int, rng: np.random.Generator) -> BalancerParams:
+    """A 4x bottleneck of ``max(t_future // 4, 4)`` units over the T_f
+    per-step weights."""
+    width = max(t_future // 4, 4)
     return BalancerParams(
-        w1=ad.uniform_parameter(rng, (dim, width), dim),
+        w1=ad.uniform_parameter(rng, (t_future, width), t_future),
         b1=Tensor(np.zeros(width), requires_grad=True),
-        w2=ad.uniform_parameter(rng, (width, dim), width),
-        b2=Tensor(np.zeros(dim), requires_grad=True),
+        w2=ad.uniform_parameter(rng, (width, t_future), width),
+        b2=Tensor(np.zeros(t_future), requires_grad=True),
     )
 
 
@@ -80,22 +77,18 @@ def context_balance(y_p: Tensor, y_f: Tensor,
                     params: BalancerParams) -> tuple[Tensor, Tensor]:
     """Context-aware fusion; returns (prediction, alpha).
 
-    The two branches are summed, pooled over nodes into a per-step
+    The two branches are summed, pooled over nodes into a T_f-wide
     descriptor, passed through the bottleneck MLP and a sigmoid, and the
-    resulting alpha is broadcast back across nodes. A ``w1`` with fewer rows
-    than the T_f steps takes the descriptor pooled over steps too.
+    resulting per-step alpha is broadcast back across nodes.
     """
     if y_p.shape != y_f.shape:
         raise ValueError(f"branch shapes differ: {y_p.shape} vs {y_f.shape}")
     context = ad.add(y_p, y_f)                       # (..., N, T_f, 1)
     pooled = ad.mean(context, axis=-3)               # (..., T_f, 1)
-    t_f = pooled.shape[-2]
-    descriptor = ad.reshape(pooled, pooled.shape[:-2] + (1, t_f))
-    if params.w1.shape[0] < t_f:
-        descriptor = ad.mean(descriptor, axis=-1, keepdims=True)
+    descriptor = ad.reshape(pooled, pooled.shape[:-2] + (1, pooled.shape[-2]))
     hidden = ad.relu(ad.add(ad.matmul(descriptor, params.w1), params.b1))
     alpha_row = ad.sigmoid(ad.add(ad.matmul(hidden, params.w2), params.b2))
-    # (..., 1, D) -> (..., 1 node, D steps, 1 channel); D=1 broadcasts over steps
+    # (..., 1, T_f) -> (..., 1 node, T_f steps, 1 channel)
     alpha_bc = ad.reshape(alpha_row, alpha_row.shape[:-2] + (1, alpha_row.shape[-1], 1))
     y_hat = context_combine(y_p, y_f, alpha_bc)
     alpha = ad.reshape(alpha_row, alpha_row.shape[:-2] + (alpha_row.shape[-1],))

@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .autodiff import Params, Tensor
 
 GRAPH_KINDS = ("pearson", "adaptive", "adaptive-directed", "identity")
+EMBED_DIM = 8  # width of each node's adaptive embedding
 
 
 def adaptive_adjacency(embeddings: Tensor) -> Tensor:
@@ -104,14 +105,15 @@ class Graph(Params):
 
 
 def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = None,
-                k: int = 8, embed_dim: int = 8,
-                rng: Optional[np.random.Generator] = None) -> Graph:
+                k: int = 8, rng: Optional[np.random.Generator] = None) -> Graph:
     """Construct a graph of ``kind``, one of ``GRAPH_KINDS``.
 
     A pearson graph needs ``target_series`` (N, T_train) and keeps each
     node's ``min(k, n_nodes - 1)`` largest correlations. An adaptive kind
-    draws its trainable embeddings from ``rng``, which it then requires:
-    there is no default generator. Identity needs neither.
+    draws its trainable (n_nodes, ``EMBED_DIM``) = (n_nodes, 8) embeddings,
+    one for the undirected kind and a source and a target for the directed
+    one, from ``rng``, which it then requires: there is no default
+    generator. Identity needs neither.
     """
     if kind == "identity":
         return Graph(adjacency=np.eye(n_nodes))
@@ -122,7 +124,7 @@ def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = N
                                                       min(k, n_nodes - 1)))
 
     def embedding() -> Tensor:
-        return ad.uniform_parameter(rng, (n_nodes, embed_dim), embed_dim)
+        return ad.uniform_parameter(rng, (n_nodes, EMBED_DIM), EMBED_DIM)
 
     if kind == "adaptive":
         return Graph(embeddings=embedding())

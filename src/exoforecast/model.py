@@ -51,26 +51,23 @@ class ModelConfig:
     t_future: int = 24
     hidden: int = 64
     experts: int = 4
-    activation: str = "relu"
     keep_prob: float = 0.9
     backbone: str = "grugcn"
     mix_hidden: int = 32
     graph_kind: str = "pearson"
     graph_k: int = 8
-    graph_embed_dim: int = 8
     fusion: str = "context"
-    alpha_per_sample: bool = False
     use_selector: bool = True
     use_balancer: bool = True
     seed: int = 0
 
     def __post_init__(self):
         for name in ("t_past", "t_future", "hidden", "experts", "mix_hidden",
-                     "graph_k", "graph_embed_dim"):
+                     "graph_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name, allowed in (("backbone", BACKBONE_KINDS), ("graph_kind", GRAPH_KINDS),
-                              ("fusion", FUSION_STRATEGIES), ("activation", ad.ACTIVATIONS)):
+                              ("fusion", FUSION_STRATEGIES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
                                  f"got {getattr(self, name)!r}")
@@ -129,10 +126,10 @@ class ExoModel:
         cfg = config
         rng = np.random.default_rng(cfg.seed)
         # one endogenous input: a window's ``x`` is the target channel alone
-        self.embed_p = init_cond_embed(1, cfg.past_exo_dim, cfg.hidden,
-                                       rng, cfg.activation, cfg.keep_prob)
-        self.embed_f = init_cond_embed(1, cfg.future_exo_dim, cfg.hidden,
-                                       rng, cfg.activation, cfg.keep_prob)
+        self.embed_p = init_cond_embed(1, cfg.past_exo_dim, cfg.hidden, rng,
+                                       keep_prob=cfg.keep_prob)
+        self.embed_f = init_cond_embed(1, cfg.future_exo_dim, cfg.hidden, rng,
+                                       keep_prob=cfg.keep_prob)
         self.bank_p = init_expert_bank(cfg.hidden, cfg.experts, rng)
         self.bank_f = init_expert_bank(cfg.hidden, cfg.experts, rng)
         self.spec = BackboneSpec(cfg.backbone, hidden=cfg.hidden,
@@ -142,8 +139,7 @@ class ExoModel:
         self.backbone_f = (None if cfg.fusion == "shared"
                            else init_backbone(self.spec, t_in, rng))
         self.balancer: Optional[BalancerParams] = (
-            init_balancer(cfg.t_future, rng, scalar=cfg.alpha_per_sample)
-            if cfg.fusion == "context" else None)
+            init_balancer(cfg.t_future, rng) if cfg.fusion == "context" else None)
         self.learnable_w: Optional[Tensor] = (
             init_learnable_weights() if cfg.fusion == "learnable" else None)
         self.attention: Optional[AttentionParams] = (
@@ -157,8 +153,7 @@ class ExoModel:
         if static_adjacency is not None:  # archived, already prepped
             return Graph(adjacency=static_adjacency)
         graph = build_graph(cfg.graph_kind, cfg.n_nodes,
-                            target_series=target_series, k=cfg.graph_k,
-                            embed_dim=cfg.graph_embed_dim, rng=rng)
+                            target_series=target_series, k=cfg.graph_k, rng=rng)
         if graph.adjacency is not None:
             # conv prep: self-loops then signed row normalization
             graph.adjacency = row_normalize(with_self_loops(graph.adjacency))

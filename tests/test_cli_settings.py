@@ -122,11 +122,6 @@ def test_synth_flag_sets_its_field(tmp_path, flag, field, value):
     assert getattr(SynthConfig(), field) != value
 
 
-# the ModelConfig fields that no flag sets but that tests build models with
-# other values of
-MODEL_VARIANTS = ("activation", "alpha_per_sample", "graph_embed_dim")
-
-
 def _dests(command: str) -> set:
     """The dest of every flag ``command`` takes."""
     (sub,) = [a for a in cli.build_parser()._actions
@@ -136,13 +131,16 @@ def _dests(command: str) -> set:
 
 def test_every_config_field_is_set_by_something(synth_dir):
     """A config field is a flag of the command that builds the config, a size
-    the panel decides, or a model variant that tests set."""
+    the panel decides, or a section ``_build_run`` fills; what only tests set
+    does not count."""
     panel = load_panel(synth_dir / "panel.csv", synth_dir / "panel.schema.json")
     sized = set(cli._panel_sizes(prepare_splits(panel, 6, 4)))
     unset = []
-    for cls, command in ((ModelConfig, "train"), (TrainConfig, "train"),
-                         (SynthConfig, "synth")):
-        known = _dests(command) | sized | set(MODEL_VARIANTS)
+    for cls, command, given in ((ModelConfig, "train", sized),
+                                (TrainConfig, "train", set()),
+                                (SynthConfig, "synth", set()),
+                                (cli.RunConfig, "train", {"model", "train"})):
+        known = _dests(command) | given
         unset += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in known]
     assert unset == []
 

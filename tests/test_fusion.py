@@ -141,33 +141,18 @@ class TestContextBalance:
 
         assert grad_check(f, wrt, step=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("t_future, width", [(1, 4), (16, 4), (24, 6)])
+    def test_bottleneck_width(self, t_future, width):
+        # max(t_future // 4, 4) units between the T_f-wide descriptor and alpha
+        p = init_balancer(t_future, np.random.default_rng(0))
+        assert p.w1.shape == (t_future, width) and p.b1.shape == (width,)
+        assert p.w2.shape == (width, t_future) and p.b2.shape == (t_future,)
+
     def test_shape_mismatch(self):
         p = init_balancer(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="shapes differ"):
             context_balance(Tensor(np.zeros((2, 3, 1))),
                             Tensor(np.zeros((2, 4, 1))), p)
-
-    def test_scalar_mode(self):
-        yp, yf, rng = rand_branches(7)
-        p = init_balancer(4, rng, scalar=True)
-        y_hat, alpha = context_balance(yp, yf, p)
-        assert alpha.values.shape == (1,)
-        assert y_hat.values.shape == yp.values.shape
-        # at T_f = 1 the per-sample balancer is the per-step one, bit for bit
-        branches = [t.values for t in rand_branches(7, t=1)[:2]]
-        runs = []
-        for scalar in (True, False):
-            yp, yf = (Tensor(v, requires_grad=True) for v in branches)
-            p = init_balancer(1, np.random.default_rng(3), scalar=scalar)
-            wrt = [yp, yf, *p.parameters("b").values()]
-            with ad.Tape() as tape:
-                y_hat, alpha = context_balance(yp, yf, p)
-                loss = ad.reduce_sum(y_hat)
-            tape.backward(loss)
-            runs.append([y_hat.values, alpha.values, *(t.grad for t in wrt)])
-        assert runs[0][1].shape == (1,)
-        for per_sample, per_step in zip(*runs):
-            assert per_sample.tobytes() == per_step.tobytes()
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(8)

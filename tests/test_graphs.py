@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast import autodiff as ad
 from exoforecast.graphs import (
+    EMBED_DIM,
     Graph,
     adaptive_adjacency,
     adaptive_adjacency_directed,
@@ -193,6 +194,13 @@ class TestGraphHolder:
         assert set(g2.parameters()) == {"graph.src_embeddings", "graph.dst_embeddings"}
         rows = g2.matrix().values.sum(axis=1)
         np.testing.assert_allclose(rows, np.ones(4), atol=1e-6)
+
+    def test_adaptive_embedding_width(self):
+        assert EMBED_DIM == 8
+        for kind in ("adaptive", "adaptive-directed"):
+            g = build_graph(kind, 5, rng=np.random.default_rng(0))
+            for name, t in g.parameters().items():
+                assert t.shape == (5, EMBED_DIM), name
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown graph kind"):

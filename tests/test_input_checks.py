@@ -107,11 +107,12 @@ def _rows(edit):
     return damage
 
 
-def _blank_target(lines):
+def _blank_target(lines, node=None):
+    """Empty the target cell of every row, or of ``node``'s rows only."""
     col = lines[0].split(b",").index(b"target")
-    return [lines[0], *(b",".join(b"" if j == col else cell
-                                  for j, cell in enumerate(line.split(b",")))
-                        for line in lines[1:])]
+    return [lines[0], *(b",".join(b"" if j == col and node in (None, cells[0]) else cell
+                                  for j, cell in enumerate(cells))
+                        for cells in (line.split(b",") for line in lines[1:]))]
 
 
 def _drop_n1_row(lines):
@@ -138,6 +139,9 @@ PANEL_DAMAGE = {
     "no-data-rows": (["csv"], _rows(lambda lines: lines[:1]), "no data rows"),
     "target-never-observed": (
         ["csv"], _rows(_blank_target), "target 'target' has no observed value"),
+    "target-never-observed-at-one-node": (
+        ["csv"], _rows(lambda lines: _blank_target(lines, b"n0")),
+        "target 'target' has no observed value for node n0"),
     "node-timestamps-differ": (
         ["csv"], _rows(_drop_n1_row),
         "node n1 timestamp sequence differs from node n0"),
@@ -204,7 +208,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("key, value, message", [
         ("experts", True, "ModelConfig key experts must be int, got bool"),
         ("keep_prob", False, "ModelConfig key keep_prob must be float, got bool"),
-        ("alpha_per_sample", "no", "ModelConfig key alpha_per_sample must be bool, got str"),
+        ("use_balancer", "no", "ModelConfig key use_balancer must be bool, got str"),
         ("graph_kind", 1, "ModelConfig key graph_kind must be str, got int"),
     ])
     def test_wrong_type_is_rejected(self, key, value, message):

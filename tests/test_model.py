@@ -154,9 +154,9 @@ class TestStrategies:
     def test_degenerate_composition_single_backbone(self):
         # shared encoder + selector/balancer bypass + zero exogenous +
         # identity embedding collapses to one backbone forecast of X
-        cfg = tiny_config(fusion="shared", use_selector=False, hidden=1,
-                          activation="identity")
+        cfg = tiny_config(fusion="shared", use_selector=False, hidden=1)
         model = ExoModel(cfg)
+        model.embed_p.activation = model.embed_f.activation = "identity"
         model.embed_p.w_x.values[...] = np.eye(1)
         model.embed_p.w_e.values[...] = 0.0
         model.embed_p.b.values[...] = 0.0
@@ -233,14 +233,6 @@ class TestStrategies:
         x, e_p, e_f = tiny_inputs(cfg)
         y_hat, _ = model.forward(x, e_p, e_f)
         assert y_hat.shape == (2, 2, 1)
-
-    def test_per_sample_scalar_alpha_flag(self):
-        cfg = tiny_config(alpha_per_sample=True)
-        model = ExoModel(cfg)
-        x, e_p, e_f = tiny_inputs(cfg, batch=3)
-        y_hat, alpha = model.forward(x, e_p, e_f)
-        assert alpha.shape == (3, 1)  # one blending weight per sample
-        assert y_hat.shape == (3, 2, 2, 1)
 
 
 class TestGradients:

@@ -14,7 +14,7 @@ from exoforecast.fusion import FUSION_STRATEGIES
 from exoforecast.graphs import GRAPH_KINDS
 from exoforecast.model import ExoModel, ModelConfig, load_model, save_model
 
-N, PAST, FUTURE, T_PAST, T_FUTURE, H, K, M, D = 3, 2, 3, 5, 4, 4, 3, 6, 2
+N, PAST, FUTURE, T_PAST, T_FUTURE, H, K, M, D = 3, 2, 3, 5, 4, 4, 3, 6, 8
 T_IN = max(T_PAST, T_FUTURE)
 
 COMBOS = ([("grugcn", fusion, graph) for fusion in FUSION_STRATEGIES
@@ -26,7 +26,7 @@ def _config(backbone, fusion, graph) -> ModelConfig:
     return ModelConfig(n_nodes=N, past_exo_dim=PAST, future_exo_dim=FUTURE,
                        t_past=T_PAST, t_future=T_FUTURE, hidden=H, experts=K,
                        backbone=backbone, mix_hidden=M, graph_kind=graph,
-                       graph_k=1, graph_embed_dim=D, fusion=fusion, seed=3)
+                       graph_k=1, fusion=fusion, seed=3)
 
 
 def _model(backbone, fusion, graph) -> ExoModel:

@@ -41,7 +41,7 @@ def _fail(*args, **kwargs):
 
 
 MODEL_FIELDS = ("t_past", "t_future", "hidden", "experts", "mix_hidden",
-                "graph_k", "graph_embed_dim")
+                "graph_k")
 
 
 class TestModelConfig:
@@ -121,7 +121,6 @@ class TestCommandLine:
         ("train", "epochs", 0, "epochs must be >= 1, got 0"),
         ("train", "lr_min", -0.5, "lr_min must be >= 0, got -0.5"),
         ("model", "graph_k", -3, "graph_k must be >= 1, got -3"),
-        ("model", "graph_embed_dim", 0, "graph_embed_dim must be >= 1, got 0"),
         ("model", "hidden", "4", "ModelConfig key hidden must be int, got str"),
         ("model", "hidden", 4.0, "ModelConfig key hidden must be int, got float"),
         ("model", "t_past", "6", "ModelConfig key t_past must be int, got str"),
@@ -135,14 +134,16 @@ class TestCommandLine:
          "adaptive-directed, identity, got 'bogus'"),
         ("model", "fusion", "bogus", "fusion must be one of context, shared, simple, "
          "learnable, attention, got 'bogus'"),
-        ("model", "activation", "bogus", "activation must be one of relu, identity, "
-         "tanh, sigmoid, leaky-relu, got 'bogus'"),
         ("train", "epochs", "1", "TrainConfig key epochs must be int, got str"),
         ("train", "weight_decay", -1.0, "weight_decay must be >= 0 and finite, got -1.0"),
         ("train", "lr_max", math.inf, "lr_max must be finite, got inf"),
         ("train", "loss", "bogus", "loss must be one of mae, mse, got 'bogus'"),
         ("model", "endo_dim", 1, "ModelConfig has unknown keys endo_dim"),
         ("model", "reduction", 4, "ModelConfig has unknown keys reduction"),
+        ("model", "activation", "relu", "ModelConfig has unknown keys activation"),
+        ("model", "alpha_per_sample", False,
+         "ModelConfig has unknown keys alpha_per_sample"),
+        ("model", "graph_embed_dim", 8, "ModelConfig has unknown keys graph_embed_dim"),
         ("train", "betas", [0.9, 0.999], "TrainConfig has unknown keys betas"),
         ("train", "eps", 1e-8, "TrainConfig has unknown keys eps"),
         ("model", "t_past", 7, "t_past 6 disagrees with model.t_past 7"),
