@@ -1,0 +1,120 @@
+"""The CLI's outputs keep their bits.
+
+A fixed list of commands runs in process through ``cli.main`` from a fresh
+directory, with relative paths, so ``config.json`` holds no absolute path.
+The SHA-256 of every file they write (``timing.txt`` left out) and of each
+command's stdout must equal the committed ``same_bits_manifest.json``.
+
+The bits depend on Python, numpy and the BLAS build and core type, so the
+manifest records that stamp; on another stamp the test fails and names both.
+A change that alters bits on purpose rewrites the manifest with
+
+    PYTHONPATH=src python tests/test_same_bits.py
+
+and names each changed entry in ``CHANGES.md``; the manifest's diff is the
+record.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from exoforecast.cli import main
+
+MANIFEST = Path(__file__).with_name("same_bits_manifest.json")
+
+DATA = ["--data", "panel/panel.csv", "--schema", "panel/panel.schema.json"]
+TINY = ["--t-past", "6", "--t-future", "4", "--hidden", "4", "--experts", "2",
+        "--mix-hidden", "3", "--graph-k", "2", "--epochs", "2", "--batch", "32",
+        "--patience", "5"]
+
+
+def _runs() -> dict[str, list[str]]:
+    """Each trained run's directory name and its model flags."""
+    runs = {f"{backbone}-{fusion}": ["--backbone", backbone, "--fusion", fusion]
+            for backbone in ("grugcn", "mlp-mixer")
+            for fusion in ("context", "shared", "simple", "learnable", "attention")}
+    runs |= {f"grugcn-{graph}": ["--backbone", "grugcn", "--graph", graph]
+             for graph in ("adaptive", "adaptive-directed", "identity")}
+    runs["mlp-mixer-lean"] = ["--backbone", "mlp-mixer", "--loss", "mse",
+                              "--no-use-future", "--no-selector", "--keep-prob", "0.8"]
+    return runs
+
+
+def commands() -> list[list[str]]:
+    out = [["synth", "--out", "panel", "--nodes", "4", "--steps", "300", "--seed", "3"]]
+    for name, flags in _runs().items():
+        out.append(["train", *DATA, *TINY, *flags, "--seed", "1", "--horizon-days", "2",
+                    "--out", f"runs/{name}"])
+        out.append(["eval", "--model-dir", f"runs/{name}", "--horizon-days", "3",
+                    "--out", f"evals/{name}"])
+    out += [["graph", *DATA, *TINY[:4], "--graph", graph, "--graph-k", "2", "--seed", "4",
+             "--out", f"graph-{graph}.tsv"]
+            for graph in ("pearson", "identity", "adaptive", "adaptive-directed")]
+    out += [["eval", "--model-dir", "runs/grugcn-context", "--corrupt", strategy,
+             "--corrupt-ratio", "0.5", "--out", f"evals/corrupt-{strategy}"]
+            for strategy in ("zero", "random")]
+    out.append(["corrupt-eval", "--model-dir", "runs/mlp-mixer-context",
+                "--out", "evals/corrupt-grid"])
+    out.append(["ablate", *DATA, *TINY, "--backbone", "mlp-mixer", "--epochs", "1",
+                "--out", "ablate"])
+    return out
+
+
+def stamp() -> dict:
+    """The environment the bits depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("openblas configuration") or blas.get("name")}
+
+
+def digests() -> dict[str, str]:
+    """Run ``commands()`` in the current directory; the SHA-256 of each
+    command's stdout and of every file written, by name."""
+    out = {}
+    for argv in commands():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(argv)
+        assert rc == 0, argv
+        out["stdout: " + " ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    for path in sorted(Path().rglob("*")):
+        if path.is_file() and path.name != "timing.txt":
+            out[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_outputs_match_the_manifest(tmp_path, monkeypatch):
+    manifest = json.loads(MANIFEST.read_text())
+    here = stamp()
+    assert manifest["stamp"] == here, (
+        f"manifest stamp {manifest['stamp']} differs from this environment's "
+        f"{here}; its digests hold only for its own stamp")
+    monkeypatch.chdir(tmp_path)
+    got, want = digests(), manifest["digests"]
+    changed = sorted(k for k in got.keys() & want.keys() if got[k] != want[k])
+    assert (changed, sorted(got.keys() - want.keys()),
+            sorted(want.keys() - got.keys())) == ([], [], []), \
+        "(changed, new, missing) entries against the manifest"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            result = {"stamp": stamp(), "digests": digests()}
+        finally:
+            os.chdir(home)
+    MANIFEST.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST} ({len(result['digests'])} entries)")
