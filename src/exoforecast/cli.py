@@ -288,12 +288,11 @@ def cmd_ablate(args) -> int:
     base = _build_run(args, prepared)
 
     def one(label: str, *, use_past=True, use_future=True, use_date=True,
-            fusion="context", use_selector=True, use_balancer=True):
+            fusion="context", use_selector=True):
         run = dataclasses.replace(
             base, use_past=use_past, use_future=use_future, use_date=use_date,
             model=dataclasses.replace(base.model, fusion=fusion,
-                                      use_selector=use_selector,
-                                      use_balancer=use_balancer))
+                                      use_selector=use_selector))
         _, _, (row,) = _fit(run, prepared, [run.horizon_days])
         rows.append({"variant": label, **row})
 
@@ -303,9 +302,10 @@ def cmd_ablate(args) -> int:
             if flag)
         one(label, use_past=use_past, use_future=use_future, use_date=use_date)
     one("module:no-selector", use_selector=False)
-    one("module:no-balancer", use_balancer=False)
+    one("module:no-balancer", fusion="sum")
     for fusion in FUSION_STRATEGIES:
-        one(f"strategy:{fusion}", fusion=fusion)
+        if fusion != "sum":  # fitted above as module:no-balancer
+            one(f"strategy:{fusion}", fusion=fusion)
     _report(Path(args.out), "ablation", rows, ["variant"])
     return 0
 
@@ -378,7 +378,6 @@ def _add_run_flags(p):
     p.add_argument("--fusion", choices=FUSION_STRATEGIES, default=ModelConfig.fusion)
     p.add_argument("--keep-prob", type=float, default=ModelConfig.keep_prob)
     p.add_argument("--no-selector", action="store_false", dest="use_selector")
-    p.add_argument("--no-balancer", action="store_false", dest="use_balancer")
     for role in ("past", "future", "date"):
         p.add_argument(f"--use-{role}", action=argparse.BooleanOptionalAction,
                        default=True)

@@ -5,7 +5,8 @@ alpha generated from the node-pooled sum of the branches, applied as
 alpha * Y_p + (1 - alpha) * Y_f plus the unweighted sum as a residual.
 Four alternative strategies (shared encoder, fixed equal weights, learnable
 softmax weights, bidirectional per-step attention) are provided for the
-strategy comparisons.
+strategy comparisons, and ``sum`` returns Y_p + Y_f with no parameters: the
+model without its balancer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Params, Tensor
 
-FUSION_STRATEGIES = ("context", "shared", "simple", "learnable", "attention")
+FUSION_STRATEGIES = ("context", "shared", "simple", "learnable", "attention", "sum")
 
 
 @dataclass

@@ -58,7 +58,6 @@ class ModelConfig:
     graph_k: int = 8
     fusion: str = "context"
     use_selector: bool = True
-    use_balancer: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -117,6 +116,9 @@ class ExoModel:
 
     The shared-parameter strategy routes both branches through the past
     branch's encoder; every other strategy keeps two independent encoders.
+    A model builds only the tensors its forward reads: the expert banks only
+    with the selector, and fusion parameters only for the strategy that
+    needs them (``sum``, the balancer ablation, has none).
     """
 
     def __init__(self, config: ModelConfig,
@@ -130,8 +132,10 @@ class ExoModel:
                                        keep_prob=cfg.keep_prob)
         self.embed_f = init_cond_embed(1, cfg.future_exo_dim, cfg.hidden, rng,
                                        keep_prob=cfg.keep_prob)
-        self.bank_p = init_expert_bank(cfg.hidden, cfg.experts, rng)
-        self.bank_f = init_expert_bank(cfg.hidden, cfg.experts, rng)
+        self.bank_p = (init_expert_bank(cfg.hidden, cfg.experts, rng)
+                       if cfg.use_selector else None)
+        self.bank_f = (init_expert_bank(cfg.hidden, cfg.experts, rng)
+                       if cfg.use_selector else None)
         self.spec = BackboneSpec(cfg.backbone, hidden=cfg.hidden,
                                  t_future=cfg.t_future, mix_hidden=cfg.mix_hidden)
         t_in = max(cfg.t_past, cfg.t_future)
@@ -164,7 +168,8 @@ class ExoModel:
     def parameters(self) -> dict[str, Tensor]:
         """Every trainable tensor, named by its part's prefix plus its field
         path (``backbone.p.readout.w_out``); a part the configuration
-        lacks is ``None`` and names nothing."""
+        lacks is ``None`` and names nothing, so these are exactly the
+        tensors a training forward reads."""
         out: dict[str, Tensor] = {}
         for prefix, part in (
                 ("embed.p", self.embed_p), ("embed.f", self.embed_f),
@@ -201,17 +206,15 @@ class ExoModel:
         e_past = ad.as_tensor(e_past)
         e_future = ad.as_tensor(e_future)
         x_p = select_stage(x, e_past, self.embed_p, self.bank_p,
-                           pad_side="head", train=train, rng=rng,
-                           bypass_selector=not cfg.use_selector)
+                           pad_side="head", train=train, rng=rng)
         x_f = select_stage(x, e_future, self.embed_f, self.bank_f,
-                           pad_side="tail", train=train, rng=rng,
-                           bypass_selector=not cfg.use_selector)
+                           pad_side="tail", train=train, rng=rng)
         adj = self.graph.matrix() if self.graph is not None else None
         backbone_f = self.backbone_p if cfg.fusion == "shared" else self.backbone_f
         y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
         y_f, pen_f = backbone_forward(x_f, adj, backbone_f, self.spec)
 
-        if not cfg.use_balancer:
+        if cfg.fusion == "sum":
             return ad.add(y_p, y_f), None
         if cfg.fusion == "context":
             return context_balance(y_p, y_f, self.balancer)

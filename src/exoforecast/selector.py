@@ -125,12 +125,12 @@ def moe_select(x_tau: Tensor, bank: ExpertBank, g: Tensor) -> Tensor:
     return ad.moe_combine(x_tau, g, bank.experts)
 
 
-def select_stage(x: Tensor, e: Tensor, embed: CondEmbedParams, bank: ExpertBank, *,
-                 pad_side: str, train: bool = False,
-                 rng: Optional[np.random.Generator] = None,
-                 bypass_selector: bool = False) -> Tensor:
-    """Full select stage; the ablation flag passes the embedding through."""
+def select_stage(x: Tensor, e: Tensor, embed: CondEmbedParams,
+                 bank: Optional[ExpertBank], *, pad_side: str, train: bool = False,
+                 rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Full select stage; without a bank (the selector ablation) the
+    conditional embedding passes through."""
     x_tau = conditional_embed(x, e, embed, pad_side=pad_side, train=train, rng=rng)
-    if bypass_selector:
+    if bank is None:
         return x_tau
     return moe_select(x_tau, bank, moe_gate(x_tau, bank.gate))

@@ -23,6 +23,7 @@ CONFIGS = {
     "identity": ["--backbone", "grugcn", "--graph", "identity"],
     "adaptive": ["--backbone", "grugcn", "--graph", "adaptive"],
     "mixer": ["--backbone", "mlp-mixer"],
+    "no-selector": ["--backbone", "mlp-mixer", "--no-selector"],
 }
 
 
@@ -107,3 +108,24 @@ def test_load_model_names_archive_and_tensor(runs, tmp_path, case):
     assert "\n" not in message
     assert str(model_dir / "model.bin") in message and name in message
     assert CASES[case][3] in message
+
+
+def test_expert_banks_without_the_selector_fail_to_load(runs, tmp_path):
+    """A ``--no-selector`` model has no expert banks, so its archive holding
+    the ``select.*`` tensors of a selector model fails with one line that
+    names each of them."""
+    banks = {name: values for name, values in
+             load_tensors(runs["mixer"] / "model.bin").items()
+             if name.startswith("select.")}
+    model_dir = tmp_path / "banked"
+    shutil.copytree(runs["no-selector"], model_dir)
+    save_tensors(model_dir / "model.bin",
+                 load_tensors(model_dir / "model.bin") | banks)
+    config = config_from_dict(
+        ModelConfig, json.loads((model_dir / "config.json").read_text())["model"])
+    assert not config.use_selector and len(banks) == 6
+    with pytest.raises(ValueError) as info:
+        load_model(model_dir / "model.bin", config)
+    message = str(info.value)
+    assert "\n" not in message and str(model_dir / "model.bin") in message
+    assert all(name in message for name in banks)

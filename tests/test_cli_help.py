@@ -20,7 +20,7 @@ COMMANDS = ["synth", "train", "eval", "ablate", "corrupt-eval", "graph"]
 RUN_OPTIONS = [
     "-h", "--help", "--data", "--schema", "--t-past", "--t-future", "--experts",
     "--hidden", "--backbone", "--mix-hidden", "--graph", "--graph-k", "--fusion",
-    "--keep-prob", "--no-selector", "--no-balancer", "--use-past", "--no-use-past",
+    "--keep-prob", "--no-selector", "--use-past", "--no-use-past",
     "--use-future", "--no-use-future", "--use-date", "--no-use-date", "--epochs",
     "--batch", "--patience", "--lr-max", "--lr-min", "--weight-decay", "--loss",
     "--out", "--seed", "--horizon-days",

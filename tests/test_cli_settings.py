@@ -76,7 +76,7 @@ RUN_FLAGS = [
     (["--fusion", "attention"], "fusion", "attention"),
     (["--keep-prob", "0.5"], "keep_prob", 0.5),
     (["--no-selector"], "use_selector", False),
-    (["--no-balancer"], "use_balancer", False),
+    (["--fusion", "sum"], "fusion", "sum"),
     (["--no-use-past"], "use_past", False),
     (["--no-use-future"], "use_future", False),
     (["--no-use-date"], "use_date", False),
@@ -145,21 +145,21 @@ def test_every_config_field_is_set_by_something(synth_dir):
     assert unset == []
 
 
-ABLATION_VARIANTS = [  # (use_past, use_future, use_date, fusion, use_selector, use_balancer)
-    (True, False, False, "context", True, True),
-    (False, True, False, "context", True, True),
-    (False, False, True, "context", True, True),
-    (True, False, True, "context", True, True),
-    (False, True, True, "context", True, True),
-    (True, True, False, "context", True, True),
-    (True, True, True, "context", True, True),
-    (True, True, True, "context", False, True),
-    (True, True, True, "context", True, False),
-    (True, True, True, "context", True, True),
-    (True, True, True, "shared", True, True),
-    (True, True, True, "simple", True, True),
-    (True, True, True, "learnable", True, True),
-    (True, True, True, "attention", True, True),
+ABLATION_VARIANTS = [  # (use_past, use_future, use_date, fusion, use_selector)
+    (True, False, False, "context", True),
+    (False, True, False, "context", True),
+    (False, False, True, "context", True),
+    (True, False, True, "context", True),
+    (False, True, True, "context", True),
+    (True, True, False, "context", True),
+    (True, True, True, "context", True),
+    (True, True, True, "context", False),
+    (True, True, True, "sum", True),
+    (True, True, True, "context", True),
+    (True, True, True, "shared", True),
+    (True, True, True, "simple", True),
+    (True, True, True, "learnable", True),
+    (True, True, True, "attention", True),
 ]
 
 
@@ -173,13 +173,13 @@ def test_ablation_variants_ignore_the_flags_they_set(data, tmp_path, untrained,
         return real_drop(prepared, use_past, use_future, use_date)
 
     def model(config, **kwargs):
-        built.append((config.fusion, config.use_selector, config.use_balancer))
+        built.append((config.fusion, config.use_selector))
         return ExoModel(config, **kwargs)
 
     monkeypatch.setattr(cli, "drop_exogenous", drop)
     monkeypatch.setattr(cli, "ExoModel", model)
     assert main(["ablate", *data, *TINY, "--fusion", "simple", "--no-selector",
-                 "--no-balancer", "--no-use-date", "--out", str(tmp_path)]) == 0
+                 "--no-use-date", "--out", str(tmp_path)]) == 0
     assert [d + b for d, b in zip(dropped, built)] == ABLATION_VARIANTS
     rows = json.loads((tmp_path / "ablation.json").read_text())
     assert [r["variant"] for r in rows] == [

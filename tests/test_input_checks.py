@@ -208,7 +208,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("key, value, message", [
         ("experts", True, "ModelConfig key experts must be int, got bool"),
         ("keep_prob", False, "ModelConfig key keep_prob must be float, got bool"),
-        ("use_balancer", "no", "ModelConfig key use_balancer must be bool, got str"),
+        ("use_selector", "no", "ModelConfig key use_selector must be bool, got str"),
         ("graph_kind", 1, "ModelConfig key graph_kind must be str, got int"),
     ])
     def test_wrong_type_is_rejected(self, key, value, message):

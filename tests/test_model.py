@@ -152,7 +152,7 @@ class TestConfig:
 
 class TestStrategies:
     def test_degenerate_composition_single_backbone(self):
-        # shared encoder + selector/balancer bypass + zero exogenous +
+        # shared encoder + no selector + zero exogenous +
         # identity embedding collapses to one backbone forecast of X
         cfg = tiny_config(fusion="shared", use_selector=False, hidden=1)
         model = ExoModel(cfg)
@@ -206,7 +206,7 @@ class TestStrategies:
     def test_balancer_bypass_is_elementwise_add(self):
         from exoforecast.backbones import backbone_forward
         from exoforecast.selector import select_stage
-        cfg = tiny_config(use_balancer=False)
+        cfg = tiny_config(fusion="sum")
         model = ExoModel(cfg)
         x, e_p, e_f = tiny_inputs(cfg)
         y_hat, alpha = model.forward(x, e_p, e_f)

@@ -231,10 +231,9 @@ class TestEndToEnd:
     def test_bypass_returns_embedding(self):
         rng = np.random.default_rng(9)
         embed = init_cond_embed(1, 1, 3, rng)
-        bank = init_expert_bank(3, 2, rng)
         x = Tensor(rng.normal(size=(1, 2, 1)))
         e = Tensor(rng.normal(size=(1, 2, 1)))
-        out = select_stage(x, e, embed, bank, pad_side="head", bypass_selector=True)
+        out = select_stage(x, e, embed, None, pad_side="head")
         np.testing.assert_array_equal(
             out.values, conditional_embed(x, e, embed).values)
 
@@ -372,8 +371,7 @@ class TestFusedMoe:
         ops = {}
         for bypass in (False, True):
             with ad.Tape() as tape:
-                select_stage(x, e, embed, bank, pad_side="head",
-                             bypass_selector=bypass)
+                select_stage(x, e, embed, None if bypass else bank, pad_side="head")
             ops[bypass] = [node.op for node in tape.nodes]
         assert ops[False].count("moe-combine") == 1
         assert "slice" not in ops[False] and "ordered-sum" not in ops[False]

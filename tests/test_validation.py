@@ -133,7 +133,7 @@ class TestCommandLine:
         ("model", "graph_kind", "bogus", "graph_kind must be one of pearson, adaptive, "
          "adaptive-directed, identity, got 'bogus'"),
         ("model", "fusion", "bogus", "fusion must be one of context, shared, simple, "
-         "learnable, attention, got 'bogus'"),
+         "learnable, attention, sum, got 'bogus'"),
         ("train", "epochs", "1", "TrainConfig key epochs must be int, got str"),
         ("train", "weight_decay", -1.0, "weight_decay must be >= 0 and finite, got -1.0"),
         ("train", "lr_max", math.inf, "lr_max must be finite, got inf"),
@@ -144,6 +144,7 @@ class TestCommandLine:
         ("model", "alpha_per_sample", False,
          "ModelConfig has unknown keys alpha_per_sample"),
         ("model", "graph_embed_dim", 8, "ModelConfig has unknown keys graph_embed_dim"),
+        ("model", "use_balancer", True, "ModelConfig has unknown keys use_balancer"),
         ("train", "betas", [0.9, 0.999], "TrainConfig has unknown keys betas"),
         ("train", "eps", 1e-8, "TrainConfig has unknown keys eps"),
         ("model", "t_past", 7, "t_past 6 disagrees with model.t_past 7"),
