@@ -343,7 +343,9 @@ def cmd_graph(args) -> int:
     text = "".join("\t".join(repr(float(v)) for v in row) + "\n"
                    for row in graph.matrix().values)
     if args.out:
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
         print(f"wrote {args.out} ({cfg.graph_kind}, {cfg.n_nodes} nodes)")
     else:
         print(text, end="")

@@ -7,7 +7,9 @@ reloaded bit-exactly.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional, get_type_hints
@@ -37,7 +39,24 @@ from .selector import (
 )
 
 ARCHIVE_MAGIC = b"EXOF0001"
-PREDICT_CHUNK = 2 ** 18  # N * T * H elements one forecast chunk may span
+PREDICT_CHUNK = 2 ** 18  # N * T * H elements the concurrent forecast chunks may span together
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or ``None`` where they cannot be reached."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return (lib.scipy_openblas_get_num_threads64_,
+                lib.scipy_openblas_set_num_threads64_)
+    except (AttributeError, OSError):
+        return None
+
+
+_BLAS_THREADS = _openblas_threads()
+# threads ``predict`` maps its chunks over: one per core, or 1 (serial) where
+# BLAS cannot be held to one thread while they run
+PREDICT_WORKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS else 1
 
 
 @dataclass
@@ -235,20 +254,40 @@ class ExoModel:
         """Eval-mode forward returning plain values.
 
         A batched (B, N, T, F) input runs through ``forward`` in consecutive
-        slices of at most ``max(1, PREDICT_CHUNK // (N * T * H))`` windows,
-        T the longer of the past and future lengths. That is 7 windows at
-        N = T = 24, H = 64, where a chunk's (N, T, H) activation takes 2 MiB.
-        No eval-mode forecast depends on the other windows of its batch, so
-        the concatenated slices equal one whole-batch forward bit for bit.
+        slices of at most ``max(1, PREDICT_CHUNK // (N * T * H * W))``
+        windows, T the longer of the past and future lengths and W
+        ``PREDICT_WORKERS``. With more than one slice, W threads forward
+        them at once, OpenBLAS held to one thread meanwhile, so together
+        they span at most ``PREDICT_CHUNK`` elements: 3 windows per worker
+        at N = T = 24, H = 64 and W = 2, where one window's (N, T, H)
+        activation takes 288 KiB. The slices are joined in window order.
+        No eval-mode forecast depends on the other windows of its batch or
+        draws a random number, and a worker thread has no active tape, so
+        the result equals one whole-batch forward bit for bit.
         """
         n, t = np.shape(x)[-3], max(np.shape(x)[-2], np.shape(e_future)[-2])
-        chunk = max(1, PREDICT_CHUNK // (n * t * self.config.hidden))
+        workers = PREDICT_WORKERS
+        chunk = max(1, PREDICT_CHUNK // (n * t * self.config.hidden * workers))
         if np.ndim(x) < 4 or len(x) <= chunk:
             return self.forward(x, e_past, e_future)[0].values
-        return np.concatenate([
-            self.forward(x[lo:lo + chunk], e_past[lo:lo + chunk],
-                         e_future[lo:lo + chunk])[0].values
-            for lo in range(0, len(x), chunk)])
+
+        def forecast(lo: int) -> np.ndarray:
+            return self.forward(x[lo:lo + chunk], e_past[lo:lo + chunk],
+                                e_future[lo:lo + chunk])[0].values
+
+        starts = range(0, len(x), chunk)
+        if workers == 1:
+            return np.concatenate([forecast(lo) for lo in starts])
+        from concurrent.futures import ThreadPoolExecutor  # kept out of set-up
+
+        get_threads, set_threads = _BLAS_THREADS
+        blas_threads = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                return np.concatenate(list(pool.map(forecast, starts)))
+        finally:
+            set_threads(blas_threads)
 
 
 # ---------------------------------------------------------------------------

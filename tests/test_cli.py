@@ -357,3 +357,13 @@ class TestGraphDump:
         rows = [line.split("\t") for line in out.read_text().splitlines()]
         matrix = np.array([[float(v) for v in row] for row in rows])
         assert matrix.shape == (3, 3)
+
+    def test_out_creates_its_directory(self, synth_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["graph", "--data", str(synth_dir / "panel.csv"),
+                   "--schema", str(synth_dir / "panel.schema.json"),
+                   "--t-past", "6", "--t-future", "4",
+                   "--graph", "pearson", "--graph-k", "2",
+                   "--out", "graphs/pearson.tsv"])
+        assert rc == 0
+        assert len((tmp_path / "graphs" / "pearson.tsv").read_text().splitlines()) == 3

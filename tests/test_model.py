@@ -1,5 +1,6 @@
 """Tests for the assembled forecasting model."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,25 @@ def _counting_forward(monkeypatch, model):
     return sizes
 
 
+def _chunk_offsets(monkeypatch, model, x):
+    """Record the (window offset into ``x``, batch size) of every
+    ``model.forward`` call; worker threads make them in no fixed order."""
+    chunks = []
+    forward = model.forward
+
+    def counted(xs, *args, **kwargs):
+        chunks.append(((xs.ctypes.data - x.ctypes.data) // x.strides[0], len(xs)))
+        return forward(xs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    return chunks
+
+
+needs_blas_control = pytest.mark.skipif(
+    model_module._BLAS_THREADS is None,
+    reason="numpy's OpenBLAS thread control is unreachable, so predict runs serially")
+
+
 class TestChunkedPredict:
     @pytest.mark.parametrize("backbone", ["grugcn", "mlp-mixer"])
     @pytest.mark.parametrize("fusion", FUSIONS)
@@ -329,6 +349,7 @@ class TestChunkedPredict:
                           graph_kind="pearson", graph_k=1, fusion=fusion, keep_prob=0.8)
         model = ExoModel(cfg, target_series=np.random.default_rng(1).normal(size=(3, 30)))
         chunk = 3
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 1)
         monkeypatch.setattr(model_module, "PREDICT_CHUNK", chunk * 3 * 4 * 4)  # c * N * T * H
         x, e_p, e_f = tiny_inputs(cfg, seed=2, batch=3 * chunk + 2)
         sizes = _counting_forward(monkeypatch, model)
@@ -345,13 +366,26 @@ class TestChunkedPredict:
         cfg = tiny_config(n_nodes=24, past_exo_dim=12, future_exo_dim=12, t_past=24,
                           t_future=24, hidden=64, experts=4, backbone="mlp-mixer")
         model = ExoModel(cfg)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 1)
         sizes = _counting_forward(monkeypatch, model)
         model.predict(*tiny_inputs(cfg, batch=15))
         assert sizes == [7, 7, 1]
 
+    @needs_blas_control
+    def test_paper_shape_chunk_is_three_per_worker(self, monkeypatch):
+        cfg = tiny_config(n_nodes=24, past_exo_dim=12, future_exo_dim=12, t_past=24,
+                          t_future=24, hidden=64, experts=4, backbone="mlp-mixer")
+        model = ExoModel(cfg)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+        inputs = tiny_inputs(cfg, batch=15)
+        chunks = _chunk_offsets(monkeypatch, model, inputs[0])
+        model.predict(*inputs)
+        assert sorted(chunks) == [(0, 3), (3, 3), (6, 3), (9, 3), (12, 3)]
+
     def test_chunk_bound_reads_the_longer_window(self, monkeypatch):
         cfg = tiny_config(t_past=3, t_future=6)
         model = ExoModel(cfg)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 1)
         monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2 * 6 * 2 * 2)
         sizes = _counting_forward(monkeypatch, model)
         model.predict(*tiny_inputs(cfg, batch=5))
@@ -377,3 +411,56 @@ class TestChunkedPredict:
         assert peaks[4 * chunk] < 2 * peaks[chunk], peaks
         whole = model.forward(*inputs)[0].values
         assert model.predict(*inputs).tobytes() == whole.tobytes()
+
+
+@needs_blas_control
+class TestPredictWorkers:
+    """Chunks forecast on worker threads equal the serial ones by bytes,
+    and ``predict`` leaves the BLAS and Python thread counts as it found them."""
+
+    @pytest.mark.parametrize("backbone", ["grugcn", "mlp-mixer"])
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    def test_two_workers_equal_one_by_bytes(self, monkeypatch, backbone, fusion):
+        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4, backbone=backbone,
+                          graph_kind="pearson", graph_k=1, fusion=fusion, keep_prob=0.8)
+        model = ExoModel(cfg, target_series=np.random.default_rng(1).normal(size=(3, 30)))
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2 * 3 * 4 * 4)  # 2 * N * T * H
+        inputs = tiny_inputs(cfg, seed=2, batch=11)
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(model_module, "PREDICT_WORKERS", workers)
+            with monkeypatch.context() as m:
+                chunks = _chunk_offsets(m, model, inputs[0])
+                got[workers] = model.predict(*inputs)
+            # the workers together hold the one worker's 2 windows
+            assert sorted(chunks) == [(lo, min(2 // workers, 11 - lo))
+                                      for lo in range(0, 11, 2 // workers)]
+        assert got[2].shape == got[1].shape and got[2].tobytes() == got[1].tobytes()
+
+    def test_blas_and_python_threads_come_back(self, monkeypatch):
+        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4)
+        model = ExoModel(cfg)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 3 * 4 * 4)  # one window
+        get_threads, set_threads = model_module._BLAS_THREADS
+        inputs = tiny_inputs(cfg, batch=5)
+        forward, seen = model.forward, []
+
+        def forward_recording_blas(x, *args, **kwargs):
+            seen.append(get_threads())
+            if x[0, 0, 0, 0] == inputs[0][3, 0, 0, 0]:
+                raise FloatingPointError("window 3")
+            return forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", forward_recording_blas)
+        threads, blas_threads = threading.active_count(), get_threads()
+        set_threads(2)
+        try:
+            model.predict(*(a[:3] for a in inputs))
+            assert get_threads() == 2 and seen == [1, 1, 1]
+            with pytest.raises(FloatingPointError, match="^window 3$"):
+                model.predict(*inputs)
+            assert get_threads() == 2
+        finally:
+            set_threads(blas_threads)
+        assert threading.active_count() == threads

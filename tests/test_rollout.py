@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def _from_day_one(model, samples, scaler, target_channel, history=None):
 
 @pytest.fixture(autouse=True)
 def small_chunks(monkeypatch):
-    """Forecast 3 windows per forward, so chunks end inside every horizon."""
+    """All workers together forecast 3 windows at a time, so chunks end
+    inside every horizon."""
     span = NODES * max(T_PAST, T_FUTURE) * HIDDEN
     monkeypatch.setattr(model_module, "PREDICT_CHUNK", CHUNK * span)
 
@@ -142,6 +144,7 @@ def model_dir(tmp_path_factory, panel_dir):
 
 def test_eval_forecasts_each_window_day_once(panel_dir, model_dir, tmp_path,
                                              monkeypatch):
+    monkeypatch.setattr(model_module, "PREDICT_WORKERS", 1)
     seen = _count(monkeypatch, model_module.ExoModel, "forward")
     assert main(["eval", "--model-dir", str(model_dir),
                  "--out", str(tmp_path)]) == 0
@@ -152,6 +155,43 @@ def test_eval_forecasts_each_window_day_once(panel_dir, model_dir, tmp_path,
     assert n == [11, 7, 3]
     assert len(seen) == sum(-(-n_d // CHUNK) for n_d in n) == 8
     # rolling every horizon from day 1 takes 4 + 2*3 + 3*1 = 13
+
+
+needs_blas_control = pytest.mark.skipif(
+    model_module._BLAS_THREADS is None,
+    reason="numpy's OpenBLAS thread control is unreachable, so predict runs serially")
+
+
+@needs_blas_control
+def test_two_workers_forecast_each_window_day_once(model_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+    seen = _count(monkeypatch, model_module.ExoModel, "forward")
+    assert main(["eval", "--model-dir", str(model_dir),
+                 "--out", str(tmp_path)]) == 0
+    assert len(seen) == 11 + 7 + 3  # one window per chunk on each worker
+
+
+@needs_blas_control
+@pytest.mark.parametrize("command", [["eval", "--horizon-days", "3"], ["corrupt-eval"]])
+def test_two_workers_write_the_bytes_of_one(model_dir, tmp_path, monkeypatch, command):
+    # 2-window chunks on one worker and 1-window chunks on two split every horizon
+    span = NODES * max(T_PAST, T_FUTURE) * HIDDEN
+    monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2 * span)
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", workers)
+        out = tmp_path / str(workers)
+        assert main([*command, "--model-dir", str(model_dir), "--out", str(out)]) == 0
+        got[workers] = _outputs(out)
+    assert got[2] == got[1] and got[1]
+
+
+@needs_blas_control
+def test_eval_leaves_no_thread_behind(model_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+    threads = threading.active_count()
+    assert main(["eval", "--model-dir", str(model_dir), "--out", str(tmp_path)]) == 0
+    assert threading.active_count() == threads
 
 
 class TestSplitWindowsOnDemand:

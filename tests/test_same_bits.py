@@ -26,7 +26,9 @@ import platform
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from exoforecast import model as model_module
 from exoforecast.cli import main
 
 MANIFEST = Path(__file__).with_name("same_bits_manifest.json")
@@ -104,6 +106,16 @@ def test_outputs_match_the_manifest(tmp_path, monkeypatch):
     assert (changed, sorted(got.keys() - want.keys()),
             sorted(want.keys() - got.keys())) == ([], [], []), \
         "(changed, new, missing) entries against the manifest"
+
+
+def test_predict_uses_every_core():
+    """On the manifest's stamp, numpy's OpenBLAS thread control is reachable,
+    so ``predict`` maps its chunks over one thread per core, not serially."""
+    if json.loads(MANIFEST.read_text())["stamp"] != stamp():
+        pytest.skip("the manifest's stamp differs from this environment's")
+    assert model_module.PREDICT_WORKERS == len(os.sched_getaffinity(0)), (
+        "predict fell back to one worker: numpy's OpenBLAS thread functions "
+        "scipy_openblas_{get,set}_num_threads64_ were not found")
 
 
 if __name__ == "__main__":
