@@ -39,7 +39,9 @@ from .selector import (
 )
 
 ARCHIVE_MAGIC = b"EXOF0001"
-PREDICT_CHUNK = 2 ** 18  # N * T * H elements the concurrent forecast chunks may span together
+# N * T * H elements that predict's workers together may span: 3 windows per
+# worker at the paper shape (N = T = 24, H = 64) with 2 workers
+PREDICT_CHUNK = 2 ** 18
 
 
 def _openblas_threads():
@@ -47,10 +49,13 @@ def _openblas_threads():
     or ``None`` where they cannot be reached."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        return (lib.scipy_openblas_get_num_threads64_,
-                lib.scipy_openblas_set_num_threads64_)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
         return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
 
 
 _BLAS_THREADS = _openblas_threads()
@@ -278,7 +283,7 @@ class ExoModel:
         starts = range(0, len(x), chunk)
         if workers == 1:
             return np.concatenate([forecast(lo) for lo in starts])
-        from concurrent.futures import ThreadPoolExecutor  # kept out of set-up
+        from concurrent.futures import ThreadPoolExecutor  # ~7 ms; only threaded calls import it
 
         get_threads, set_threads = _BLAS_THREADS
         blas_threads = get_threads()

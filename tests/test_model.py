@@ -1,5 +1,7 @@
 """Tests for the assembled forecasting model."""
 
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -436,6 +438,24 @@ class TestPredictWorkers:
             assert sorted(chunks) == [(lo, min(2 // workers, 11 - lo))
                                       for lo in range(0, 11, 2 // workers)]
         assert got[2].shape == got[1].shape and got[2].tobytes() == got[1].tobytes()
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        """Workers share the model's parameters and its adaptive graph, read only."""
+        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4,
+                          graph_kind="adaptive", fusion="attention")
+        model = ExoModel(cfg)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 3 * 4 * 4)  # one window
+        inputs = tiny_inputs(cfg, seed=3, batch=40)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 1)
+        serial = model.predict(*inputs)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2 * len(os.sched_getaffinity(0)) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [model.predict(*inputs) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(t.tobytes() == serial.tobytes() for t in threaded)
 
     def test_blas_and_python_threads_come_back(self, monkeypatch):
         cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4)

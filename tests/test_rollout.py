@@ -21,9 +21,10 @@ from exoforecast.cli import main
 from exoforecast.data import (SynthConfig, VariableRole, load_panel, prepare_splits,
                               save_panel, synth_generate)
 from exoforecast.training import metrics, stack_samples
+from test_model import needs_blas_control
 
 T_PAST, T_FUTURE, NODES, HIDDEN = 6, 4, 3, 4
-CHUNK = 3  # windows per forward: n_d of every horizon below is no multiple of it
+CHUNK = 3  # windows per forward on one worker: n_d of every horizon below is no multiple of it
 TINY = ["--t-past", str(T_PAST), "--t-future", str(T_FUTURE),
         "--hidden", str(HIDDEN), "--experts", "2", "--mix-hidden", "4",
         "--epochs", "2", "--batch", "64", "--keep-prob", "1.0", "--seed", "1"]
@@ -155,11 +156,6 @@ def test_eval_forecasts_each_window_day_once(panel_dir, model_dir, tmp_path,
     assert n == [11, 7, 3]
     assert len(seen) == sum(-(-n_d // CHUNK) for n_d in n) == 8
     # rolling every horizon from day 1 takes 4 + 2*3 + 3*1 = 13
-
-
-needs_blas_control = pytest.mark.skipif(
-    model_module._BLAS_THREADS is None,
-    reason="numpy's OpenBLAS thread control is unreachable, so predict runs serially")
 
 
 @needs_blas_control
