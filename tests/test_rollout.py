@@ -160,11 +160,14 @@ def test_eval_forecasts_each_window_day_once(panel_dir, model_dir, tmp_path,
 
 @needs_blas_control
 def test_two_workers_forecast_each_window_day_once(model_dir, tmp_path, monkeypatch):
+    """Each chunk is forecast once, and no worker thread outlives ``eval``."""
     monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
     seen = _count(monkeypatch, model_module.ExoModel, "forward")
+    threads = threading.active_count()
     assert main(["eval", "--model-dir", str(model_dir),
                  "--out", str(tmp_path)]) == 0
     assert len(seen) == 11 + 7 + 3  # one window per chunk on each worker
+    assert threading.active_count() == threads
 
 
 @needs_blas_control
@@ -180,14 +183,6 @@ def test_two_workers_write_the_bytes_of_one(model_dir, tmp_path, monkeypatch, co
         assert main([*command, "--model-dir", str(model_dir), "--out", str(out)]) == 0
         got[workers] = _outputs(out)
     assert got[2] == got[1] and got[1]
-
-
-@needs_blas_control
-def test_eval_leaves_no_thread_behind(model_dir, tmp_path, monkeypatch):
-    monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
-    threads = threading.active_count()
-    assert main(["eval", "--model-dir", str(model_dir), "--out", str(tmp_path)]) == 0
-    assert threading.active_count() == threads
 
 
 class TestSplitWindowsOnDemand:

@@ -113,7 +113,8 @@ def test_predict_uses_every_core():
     so ``predict`` maps its chunks over one thread per core, not serially."""
     if json.loads(MANIFEST.read_text())["stamp"] != stamp():
         pytest.skip("the manifest's stamp differs from this environment's")
-    assert model_module.PREDICT_WORKERS == len(os.sched_getaffinity(0)), (
+    assert model_module._BLAS_THREADS is not None and \
+        model_module.PREDICT_WORKERS == len(os.sched_getaffinity(0)), (
         "predict fell back to one worker: numpy's OpenBLAS thread functions "
         "scipy_openblas_{get,set}_num_threads64_ were not found")
 
