@@ -29,8 +29,9 @@ Memory contract:
   elements (128 KiB), in the forward and in the VJP, so beyond their
   inputs, output and input grads they allocate a few chunk-sized
   transients at a time. Unrecorded (``predict``, ``eval``, validation),
-  they keep nothing; ``predict``'s worker threads never record, since the
-  active tape is per thread, and each holds its own chunk's transients.
+  they keep nothing; the threads ``predict`` starts never record, since
+  the active tape is per thread, and each thread forwarding a chunk, the
+  calling one included, holds that chunk's transients alone.
 - ``gru_gcn_sequence`` keeps nothing per step when no tape records it.
   Recorded, it keeps ``A x`` and ``s = A x W_s`` for all T steps plus the
   state h and the gates z, r and candidate c of each step; its VJP

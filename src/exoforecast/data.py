@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta
 from enum import Enum
@@ -151,12 +152,14 @@ def save_schema(roles: dict[str, VariableRole], path) -> None:
         fh.write("\n")
 
 
-def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, list]]:
-    """The variables ``path``'s header names, and each node's (timestamp,
-    values) rows in file order, nodes in order of first appearance.
+def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, tuple]]:
+    """The variables ``path``'s header names, and each node's timestamps and
+    flat row-major values in file order, nodes in order of first appearance.
 
     The file is read as bytes and decoded line by line, so a byte that is
     not UTF-8 is reported by its line. A line ends at ``\\n`` or ``\\r\\n``.
+    Each distinct timestamp text is parsed once, and a node's values go
+    into one ``array('d')``, so no object is kept per row.
     """
     def decoded(lineno: int, raw: bytes) -> str:
         try:
@@ -175,7 +178,8 @@ def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, list]]:
         if missing:
             raise ValueError(f"{path}: header variables differ from schema "
                              f"{schema_path}: {sorted(missing)}")
-        per_node: dict[str, list] = {}
+        per_node: dict[str, tuple[list[datetime], array]] = {}
+        parsed: dict[str, datetime] = {}
         for lineno, raw in enumerate(fh, start=2):
             line = decoded(lineno, raw)
             if not line:
@@ -184,23 +188,27 @@ def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, list]]:
             if len(cells) != 2 + len(variables):
                 raise ValueError(f"{path}:{lineno}: expected {2 + len(variables)} fields")
             node, ts_text = cells[0], cells[1]
-            try:
-                ts = datetime.fromisoformat(ts_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
-            row = np.empty(len(variables))
-            for j, cell in enumerate(cells[2:]):
+            ts = parsed.get(ts_text)
+            if ts is None:
+                try:
+                    ts = parsed[ts_text] = datetime.fromisoformat(ts_text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
+            if node not in per_node:
+                per_node[node] = ([], array("d"))
+            stamps, values = per_node[node]
+            stamps.append(ts)
+            for cell in cells[2:]:
                 if cell == "":
-                    row[j] = np.nan
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: bad value {cell!r}") from exc
-                    if math.isinf(value):
-                        raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
-                    row[j] = value
-            per_node.setdefault(node, []).append((ts, row))
+                    values.append(math.nan)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad value {cell!r}") from exc
+                if math.isinf(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
+                values.append(value)
     return variables, per_node
 
 
@@ -223,7 +231,7 @@ def load_panel(path, schema_path) -> Panel:
     order = list(per_node)
     if not order:
         raise ValueError(f"{path} contains no data rows")
-    timestamps = [ts for ts, _ in per_node[order[0]]]
+    timestamps = per_node[order[0]][0]
     for a, b in zip(timestamps, timestamps[1:]):
         if b <= a:
             raise ValueError(
@@ -234,11 +242,11 @@ def load_panel(path, schema_path) -> Panel:
                 f"is {b - a} apart, the first step {timestamps[1] - timestamps[0]}")
     data = np.empty((len(order), len(timestamps), len(variables)))
     for i, node in enumerate(order):
-        rows = per_node[node]
-        if [ts for ts, _ in rows] != timestamps:
+        stamps, values = per_node.pop(node)  # each node's buffer is freed once copied
+        if stamps != timestamps:
             raise ValueError(
                 f"{path}: node {node} timestamp sequence differs from node {order[0]}")
-        data[i] = np.stack([vals for _, vals in rows])
+        data[i] = np.frombuffer(values).reshape(data.shape[1:])
     mask = ~np.isnan(data)
     try:
         panel = Panel(node_ids=order, timestamps=timestamps, variables=variables,
@@ -441,7 +449,8 @@ def make_rollout_windows(panel: Panel, t_past: int, t_future: int,
     observable by then; e_future and y cover the full days*t_future horizon.
     These shapes fix t_past, t_future and days, which ``evaluate`` reads back.
     Every field is a read-only view whose window axis steps one step through
-    a block; ``windows[::k]`` keeps every k-th window as views too.
+    a block; ``windows[::k]`` keeps every k-th window as views too, and
+    ``evaluate`` forecasts from the views without copying them.
     """
     check_rollout_length(panel, t_past, t_future, days)
     layout = feature_layout(panel)
@@ -522,8 +531,10 @@ class PreparedData:
     ``train``, ``val`` and ``test`` are each split's ``make_windows``
     ``Windows``, built from its panel on first read and kept: read-only
     views into one set of blocks per split, whose memory grows with the
-    split's length, not with its number of windows. A split that is never
-    read is never windowed; ``dataclasses.replace`` starts with none built.
+    split's length, not with its number of windows. ``evaluate`` reads the
+    views as they are; a training batch is gathered from them by one copy.
+    A split that is never read is never windowed; ``dataclasses.replace``
+    starts with none built.
     """
 
     layout: FeatureLayout

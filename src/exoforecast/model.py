@@ -39,8 +39,8 @@ from .selector import (
 )
 
 ARCHIVE_MAGIC = b"EXOF0001"
-# N * T * H elements that predict's workers together may span: 3 windows per
-# worker at the paper shape (N = T = 24, H = 64) with 2 workers
+# N * T * H elements that predict's threads together may span: 3 windows per
+# thread at the paper shape (N = T = 24, H = 64) with 2 threads
 PREDICT_CHUNK = 2 ** 18
 
 
@@ -59,8 +59,8 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
-# threads ``predict`` maps its chunks over: one per core, or 1 (serial) where
-# BLAS cannot be held to one thread while they run
+# threads ``predict`` forwards its chunks on, the calling one included: one
+# per core, or 1 (serial) where BLAS cannot be held to one thread while they run
 PREDICT_WORKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS else 1
 
 
@@ -261,14 +261,17 @@ class ExoModel:
         A batched (B, N, T, F) input runs through ``forward`` in consecutive
         slices of at most ``max(1, PREDICT_CHUNK // (N * T * H * W))``
         windows, T the longer of the past and future lengths and W
-        ``PREDICT_WORKERS``. With more than one slice, W threads forward
-        them at once, OpenBLAS held to one thread meanwhile, so together
-        they span at most ``PREDICT_CHUNK`` elements: 3 windows per worker
-        at N = T = 24, H = 64 and W = 2, where one window's (N, T, H)
-        activation takes 288 KiB. The slices are joined in window order.
-        No eval-mode forecast depends on the other windows of its batch or
-        draws a random number, and a worker thread has no active tape, so
-        the result equals one whole-batch forward bit for bit.
+        ``PREDICT_WORKERS``. With more than one slice, the calling thread
+        and W - 1 started threads take slices in turn and forward them at
+        once, OpenBLAS held to one thread meanwhile, so together they span
+        at most ``PREDICT_CHUNK`` elements: 3 windows per thread at
+        N = T = 24, H = 64 and W = 2, where one window's (N, T, H)
+        activation takes 288 KiB. The slices are joined in window order;
+        an exception from any of them comes out of ``predict`` after every
+        started thread has ended. No eval-mode forecast depends on the
+        other windows of its batch or draws a random number, and a started
+        thread has no active tape, so the result equals one whole-batch
+        forward bit for bit.
         """
         n, t = np.shape(x)[-3], max(np.shape(x)[-2], np.shape(e_future)[-2])
         workers = PREDICT_WORKERS
@@ -285,14 +288,30 @@ class ExoModel:
             return np.concatenate([forecast(lo) for lo in starts])
         from concurrent.futures import ThreadPoolExecutor  # ~7 ms; only threaded calls import it
 
+        out = [None] * len(starts)
+        pending = enumerate(starts)  # shared: each next() hands out one slice
+
+        def take_turns() -> None:
+            try:
+                for i, lo in pending:
+                    out[i] = forecast(lo)
+            except BaseException:
+                for _ in pending:  # leave the other threads no more slices
+                    pass
+                raise
+
         get_threads, set_threads = _BLAS_THREADS
         blas_threads = get_threads()
         set_threads(1)
         try:
-            with ThreadPoolExecutor(workers) as pool:
-                return np.concatenate(list(pool.map(forecast, starts)))
+            with ThreadPoolExecutor(workers - 1) as pool:
+                started = [pool.submit(take_turns) for _ in range(workers - 1)]
+                take_turns()
+                for future in started:
+                    future.result()
         finally:
             set_threads(blas_threads)
+        return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,10 @@ class EarlyStopper:
 
 
 def stack_samples(samples: Windows):
-    """The (B, N, T, F) arrays x, e_past, e_future and y of ``samples``, each
-    C-contiguous: a gathered batch as it is, a split's strided views copied."""
-    return tuple(np.ascontiguousarray(a) for a in
-                 (samples.x, samples.e_past, samples.e_future, samples.y))
+    """The (B, N, T, F) arrays x, e_past, e_future and y of ``samples``, as
+    they are: a gathered batch's C-contiguous copies, or a split's or
+    rollout's read-only strided views of its blocks, which nothing copies."""
+    return samples.x, samples.e_past, samples.e_future, samples.y
 
 
 def _loss_tensor(pred: Tensor, target: np.ndarray, kind: str) -> Tensor:
@@ -239,6 +239,10 @@ def evaluate(model, samples: Windows, scaler: Scaler, target_channel: int, *,
     t_past steps, ``e_past`` t_past + (days-1)*t_future and ``e_future``
     days*t_future. Each day's forecast is appended to the endogenous
     history while the true exogenous channels advance day by day.
+
+    The forecasts read ``samples``' fields as they are: on a split or a
+    rollout, views of its blocks, sliced by ``predict`` one chunk at a time,
+    so no copy of the windows' exogenous channels is made.
 
     ``history`` continues a shorter rollout instead of starting at day 1:
     the ``history`` of the record a k-day ``evaluate`` returned, k < days,

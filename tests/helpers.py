@@ -2,6 +2,7 @@
 module that tests what they check."""
 
 import math
+import tracemalloc
 
 
 def sigmoid(v):
@@ -14,3 +15,16 @@ def one_error_line(capsys) -> str:
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), captured.err
     return err[0]
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the ``tracemalloc`` peak of that call, made
+    after one warm-up call that fills caches outside the measurement."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -3,7 +3,6 @@
 import gc
 import importlib.util
 import math
-import tracemalloc
 import weakref
 from functools import partial
 from pathlib import Path
@@ -19,6 +18,7 @@ from exoforecast import training
 from exoforecast.autodiff import Tape, Tensor, apply_primitive, grad_check
 from exoforecast.data import SynthConfig, prepare_splits, synth_generate
 from exoforecast.model import ExoModel, ModelConfig
+from helpers import traced_peak
 
 
 def test_softmax_of_zeros_is_uniform():
@@ -441,13 +441,7 @@ def test_untaped_fused_node_holds_chunk_sized_transients(node):
         ins = tuple(Tensor(rng.normal(size=s)) for s in
                     ((rows, t, 1), (rows, t, 3), (1, h), (3, h), (h,)))
         fn = partial(ad.cond_embed, activation="sigmoid")
-    fn(*ins)  # warm caches outside the measurement
-    tracemalloc.start()
-    try:
-        out = fn(*ins)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: fn(*ins))
     assert peak - out.values.nbytes < out.values.nbytes, peak
 
 

@@ -1,7 +1,6 @@
 """Tests for the spatio-temporal encoder implementations."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from exoforecast.backbones import (
 )
 from exoforecast.data import SynthConfig, prepare_splits, synth_generate
 from exoforecast.model import ExoModel, ModelConfig
-from helpers import sigmoid
+from helpers import sigmoid, traced_peak
 
 
 def readout_oracle(feat, p, t_future, hidden):
@@ -451,11 +450,5 @@ class TestFusedGruGcn:
             with monkeypatch.context() as m:
                 if name == "composed":
                     m.setattr(backbones, "grugcn_forward", composed_grugcn_forward)
-                model.predict(*inputs)  # warm caches outside the measurement
-                tracemalloc.start()
-                try:
-                    model.predict(*inputs)
-                    peaks[name] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peaks[name] = traced_peak(lambda: model.predict(*inputs))[1]
         assert peaks["fused"] <= peaks["composed"], peaks

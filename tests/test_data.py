@@ -1,7 +1,10 @@
 """Tests for panel ingestion, encoding, splitting, windowing and corruption."""
 
+import math
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from exoforecast.data import (
     save_panel,
     synth_generate,
 )
+from helpers import traced_peak
 
 
 def hourly(n, start="2019-01-01T00:00:00"):
@@ -165,6 +169,66 @@ class TestLoadPanel:
         assert back.variables == panel.variables
         assert [ts.isoformat() for ts in back.timestamps] == \
             [ts.isoformat() for ts in panel.timestamps]
+
+
+# values a file must give back by bytes: signed zeros, subnormals, the
+# extremes and holes (NaN, written as an empty cell)
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, math.nan]))
+
+
+@st.composite
+def saved_panels(draw):
+    """A panel whose data holds ``_CELL`` values, each node's target observed
+    at least once, at a minute, hour or day cadence."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    names = ["y"] + [f"p{i}" for i in range(draw(st.integers(0, 2)))] \
+        + [f"f{i}" for i in range(draw(st.integers(0, 2)))]
+    roles = {v: {"y": VariableRole.TARGET, "p": VariableRole.PAST,
+                 "f": VariableRole.FUTURE}[v[0]] for v in names}
+    variables = draw(st.permutations(names))
+    nodes = draw(st.lists(st.text("ab_09 .-", min_size=1, max_size=4),
+                          min_size=n, max_size=n, unique=True))
+    step = draw(st.sampled_from([timedelta(minutes=1), timedelta(hours=1),
+                                 timedelta(days=1)]))
+    t0 = datetime(2019, 1, 1) + draw(st.integers(0, 10 ** 6)) * timedelta(minutes=1)
+    data = np.array(draw(st.lists(_CELL, min_size=n * t * len(names),
+                                  max_size=n * t * len(names)))).reshape(n, t, -1)
+    target = data[:, :, variables.index("y")]
+    target[np.isnan(target).all(axis=1), draw(st.integers(0, t - 1))] = 1.0
+    return Panel(node_ids=nodes, timestamps=[t0 + k * step for k in range(t)],
+                 variables=variables, roles=roles, data=data)
+
+
+class TestLoadPanelBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(saved_panels())
+    def test_save_then_load_gives_the_panel_back_by_bytes(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv, schema = Path(tmp, "p.csv"), Path(tmp, "p.schema.json")
+            save_panel(panel, csv, schema)
+            back = load_panel(csv, schema)
+        assert back.data.shape == panel.data.shape
+        assert back.data.tobytes() == panel.data.tobytes()
+        holes = np.isnan(panel.data)
+        if holes.any():
+            assert back.mask.tobytes() == (~holes).tobytes()
+        else:
+            assert back.mask is None
+        assert back.node_ids == panel.node_ids and back.variables == panel.variables
+        assert back.roles == panel.roles and back.timestamps == panel.timestamps
+
+    def test_peak_memory_is_a_few_panels(self, tmp_path):
+        """The loader keeps no object per row: at 24 x 1440 x 3 its traced
+        peak stays below 4 copies of the panel's data."""
+        panel = tiny_panel(n=24, t=1440)
+        save_panel(panel, tmp_path / "p.csv", tmp_path / "p.schema.json")
+        back, peak = traced_peak(
+            lambda: load_panel(tmp_path / "p.csv", tmp_path / "p.schema.json"))
+        assert back.data.tobytes() == panel.data.tobytes()
+        assert peak < 4 * back.data.nbytes, (peak, back.data.nbytes)
 
 
 class TestEncodeTime:

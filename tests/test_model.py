@@ -3,7 +3,7 @@
 import os
 import sys
 import threading
-import tracemalloc
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from exoforecast import autodiff as ad
 from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.model import ExoModel, ModelConfig, load_model, load_tensors, save_model, save_tensors
-from helpers import sigmoid
+from helpers import sigmoid, traced_peak
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -403,13 +403,7 @@ class TestChunkedPredict:
         peaks = {}
         for b in (chunk, 4 * chunk):
             batch = tuple(a[:b] for a in inputs)
-            model.predict(*batch)  # warm caches outside the measurement
-            tracemalloc.start()
-            try:
-                model.predict(*batch)
-                peaks[b] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[b] = traced_peak(lambda: model.predict(*batch))[1]
         assert peaks[4 * chunk] < 2 * peaks[chunk], peaks
         whole = model.forward(*inputs)[0].values
         assert model.predict(*inputs).tobytes() == whole.tobytes()
@@ -456,6 +450,56 @@ class TestPredictWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert all(t.tobytes() == serial.tobytes() for t in threaded)
+
+    @staticmethod
+    def _one_window_chunks(monkeypatch, workers, batch):
+        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", workers)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", workers * 3 * 4 * 4)
+        return ExoModel(cfg), tiny_inputs(cfg, seed=4, batch=batch)
+
+    def test_calling_thread_forwards_its_share(self, monkeypatch):
+        """The caller and ``W - 1`` started threads, no more, take windows in turn."""
+        model, inputs = self._one_window_chunks(monkeypatch, 3, 9)
+        serial = model.forward(*inputs)[0].values
+        forward, idents, alive = model.forward, [], []
+
+        def forward_recording_thread(*args, **kwargs):
+            idents.append(threading.get_ident())
+            alive.append(threading.active_count())
+            time.sleep(0.01)  # free the GIL, so every thread gets a turn
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", forward_recording_thread)
+        threads = threading.active_count()
+        got = model.predict(*inputs)
+        assert got.tobytes() == serial.tobytes()
+        assert len(idents) == 9 and threading.get_ident() in idents
+        assert len(set(idents)) == 3 and max(alive) == threads + 2
+        assert threading.active_count() == threads
+
+    def test_callers_own_chunk_raises(self, monkeypatch):
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 6)
+        get_threads, set_threads = model_module._BLAS_THREADS
+        forward, caller, seen = model.forward, threading.get_ident(), []
+
+        def forward_failing_on_the_caller(*args, **kwargs):
+            seen.append(get_threads())
+            if threading.get_ident() == caller:
+                raise FloatingPointError("the caller's window")
+            time.sleep(0.01)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", forward_failing_on_the_caller)
+        threads, blas_threads = threading.active_count(), get_threads()
+        set_threads(2)
+        try:
+            with pytest.raises(FloatingPointError, match="^the caller's window$"):
+                model.predict(*inputs)
+            assert get_threads() == 2 and set(seen) == {1} and len(seen) < 6
+        finally:
+            set_threads(blas_threads)
+        assert threading.active_count() == threads
 
     def test_blas_and_python_threads_come_back(self, monkeypatch):
         cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4)

@@ -1,7 +1,6 @@
 """Tests for conditional embedding and the mixture-of-experts selector."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from exoforecast.selector import (
     moe_select,
     select_stage,
 )
+from helpers import traced_peak
 from test_backbones import _assert_same_bytes
 
 CHUNK_ROWS = [1, 2, None]  # rows per chunk of a fused node; None keeps ad.BLOCK
@@ -570,11 +570,5 @@ class TestSelectStage:
             with monkeypatch.context() as m:
                 if name == "composed":
                     _patch_composition(m)
-                model.predict(*inputs)  # warm caches outside the measurement
-                tracemalloc.start()
-                try:
-                    model.predict(*inputs)
-                    peaks[name] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peaks[name] = traced_peak(lambda: model.predict(*inputs))[1]
         assert peaks["fused"] <= peaks["composed"], peaks

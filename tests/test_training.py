@@ -9,7 +9,9 @@ import pytest
 
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.data import (
+    Scaler,
     SynthConfig,
+    add_date_channels,
     make_rollout_windows,
     prepare_splits,
     synth_generate,
@@ -28,6 +30,7 @@ from exoforecast.training import (
     stack_samples,
     train,
 )
+from helpers import traced_peak
 
 
 class TestMetrics:
@@ -308,6 +311,25 @@ class TestEvaluate:
         rec = evaluate(_OracleModel(truth), samples, prepared.scaler,
                        prepared.target_channel)
         assert rec.mae == 0.0
+
+    def test_rollout_peak_is_below_half_a_copy_of_its_exogenous_views(self):
+        """``evaluate`` forecasts from the rollout's views: it never copies
+        their exogenous channels, which dwarf the target history it builds."""
+        panel = add_date_channels(synth_generate(SynthConfig(nodes=4, steps=150)))
+        samples, _ = make_rollout_windows(panel, 24, 24, days=3)
+        f = len(panel.variables)
+        scaler = Scaler(mean=np.zeros(f), std=np.ones(f))
+        copied = 8 * (samples.e_past.size + samples.e_future.size)
+        assert len(samples) == 55 and copied >= 2 ** 20
+
+        class Zeros:
+            def predict(self, x, e_p, e_f):
+                return np.zeros(e_f.shape[:3] + (1,))
+
+        record, peak = traced_peak(
+            lambda: evaluate(Zeros(), samples, scaler, panel.target_index))
+        assert record.count == 55 * 4 * 72
+        assert peak < copied / 2, (peak, copied)
 
     def test_rollout_runs_with_real_model(self):
         prepared = _tiny_prepared(steps=260)

@@ -86,8 +86,12 @@ class TestIndexing:
     def test_whole_set_ranges_and_single_windows(self, case):
         panel, windows, (t_past, t_future, days, stride), _ = case
         stacked = stack_samples(windows)
-        for got in stacked:
-            assert got.flags.c_contiguous and got.shape[0] == len(windows)
+        want = [np.stack(parts) for parts in zip(*(
+            _sliced(panel, i * stride, t_past, t_future, days) for i in range(len(windows))))]
+        for field, got, w in zip(FIELDS, stacked, want):
+            # a view of the block the split cut its windows from, not a copy
+            assert np.shares_memory(got, getattr(windows, field).base)
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
         for i, one in enumerate(windows):
             assert one.offset == i * stride
             for field, w in zip(FIELDS, _sliced(panel, i * stride, t_past,
