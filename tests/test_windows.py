@@ -110,7 +110,7 @@ class TestIndexing:
 
     def test_gathered_batch_is_writable_and_leaves_the_split_alone(self):
         windows, _ = make_windows(_panel(2, 20, 1, 1, 1), 4, 2)
-        before = stack_samples(windows)
+        before = [a.copy() for a in stack_samples(windows)]
         batch = windows[np.array([3, 1, 3])]
         for field in FIELDS:
             getattr(batch, field)[...] = 0.0
