@@ -495,33 +495,27 @@ def _check_axis(axis: int, ndim: int) -> int:
 
 # Uniform dispatch surface keyed by primitive kind name.
 _PRIMITIVES = {
-    "matmul": lambda ins, attrs: matmul(*ins),
-    "add": lambda ins, attrs: add(*ins),
-    "sub": lambda ins, attrs: sub(*ins),
-    "elementwise-mul": lambda ins, attrs: mul(*ins),
-    "relu": lambda ins, attrs: relu(*ins),
-    "leaky-relu": lambda ins, attrs: leaky_relu(ins[0], attrs.get("slope", 0.01)),
-    "sigmoid": lambda ins, attrs: sigmoid(*ins),
-    "tanh": lambda ins, attrs: tanh(*ins),
-    "softmax-over-axis": lambda ins, attrs: softmax(ins[0], attrs["axis"]),
-    "dropout": lambda ins, attrs: dropout(ins[0], attrs["keep_prob"], attrs["rng"], attrs["train"]),
-    "mean-over-axis": lambda ins, attrs: mean(ins[0], attrs.get("axis"), attrs.get("keepdims", False)),
-    "sum-over-axis": lambda ins, attrs: reduce_sum(ins[0], attrs.get("axis"), attrs.get("keepdims", False)),
-    "concat-over-axis": lambda ins, attrs: concat(ins, attrs["axis"]),
-    "broadcast": lambda ins, attrs: broadcast_to(ins[0], attrs["shape"]),
-    "reshape": lambda ins, attrs: reshape(ins[0], attrs["shape"]),
-    "slice": lambda ins, attrs: take_slice(ins[0], attrs["index"]),
-    "transpose": lambda ins, attrs: transpose(ins[0], attrs.get("axes")),
+    "matmul": matmul, "add": add, "sub": sub, "elementwise-mul": mul,
+    "relu": relu, "leaky-relu": leaky_relu, "sigmoid": sigmoid, "tanh": tanh,
+    "softmax-over-axis": softmax, "dropout": dropout, "mean-over-axis": mean,
+    "sum-over-axis": reduce_sum, "concat-over-axis": concat, "broadcast": broadcast_to,
+    "reshape": reshape, "slice": take_slice, "transpose": transpose,
 }
 
 
 def apply_primitive(kind: str, inputs: Sequence, **attrs) -> Tensor:
-    """Apply a primitive by kind name; records on the active tape as usual."""
+    """Apply a primitive by kind name; records on the active tape as usual.
+
+    The inputs are the primitive's positional arguments, except that
+    ``concat`` takes them as its one list, and ``attrs`` its keyword
+    arguments, so an attribute it does not take is a ``TypeError``.
+    """
     try:
         fn = _PRIMITIVES[kind]
     except KeyError:
         raise ValueError(f"unknown primitive kind: {kind!r}") from None
-    return fn([as_tensor(t) for t in inputs], attrs)
+    ins = [as_tensor(t) for t in inputs]
+    return fn(ins, **attrs) if fn is concat else fn(*ins, **attrs)
 
 
 def absolute(x) -> Tensor:

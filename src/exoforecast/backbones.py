@@ -109,40 +109,47 @@ def init_mlp_mixer(spec: BackboneSpec, t_in: int, rng: np.random.Generator) -> M
     )
 
 
-def apply_readout(features: Tensor, readout: ReadoutParams, t_future: int,
-                  hidden: int) -> tuple[Tensor, Tensor]:
-    """Return (forecast (..., T_f, 1), penultimate features (..., T_f, H))."""
+def readout_head(penult: Tensor, readout: ReadoutParams) -> Tensor:
+    """Project width-H features (..., T_f, H) to one channel (..., T_f, 1)."""
+    return ad.add(ad.matmul(penult, readout.w_out), readout.b_out)
+
+
+def apply_readout(features: Tensor, readout: ReadoutParams) -> tuple[Tensor, Tensor]:
+    """Return (forecast (..., T_f, 1), penultimate features (..., T_f, H)).
+
+    H is the row count of ``w_out`` and T_f the width of ``w_seq`` over H,
+    so the weights fix both sizes.
+    """
+    hidden = readout.w_out.shape[0]
     lifted = ad.add(ad.matmul(features, readout.w_seq), readout.b_seq)
-    penult = ad.reshape(lifted, features.shape[:-1] + (t_future, hidden))
-    y = ad.add(ad.matmul(penult, readout.w_out), readout.b_out)
-    return y, penult
+    penult = ad.reshape(lifted, features.shape[:-1]
+                        + (readout.w_seq.shape[1] // hidden, hidden))
+    return readout_head(penult, readout), penult
 
 
-def grugcn_forward(x: Tensor, adj: Tensor, params: GruGcnParams,
-                   spec: BackboneSpec) -> tuple[Tensor, Tensor]:
+def grugcn_forward(x: Tensor, adj: Tensor, params: GruGcnParams) -> tuple[Tensor, Tensor]:
     """Run the recurrence over time and read out from the last hidden state."""
     h = ad.gru_gcn_sequence(x, adj, params.w_s, params.w_z, params.b_z,
                             params.w_r, params.b_r, params.w_c, params.b_c)
-    return apply_readout(h, params.readout, spec.t_future, spec.hidden)
+    return apply_readout(h, params.readout)
 
 
-def mlp_mixer_forward(x: Tensor, params: MlpMixerParams,
-                      spec: BackboneSpec) -> tuple[Tensor, Tensor]:
+def mlp_mixer_forward(x: Tensor, params: MlpMixerParams) -> tuple[Tensor, Tensor]:
     """Two-layer per-node map over the flattened time-feature window."""
     flat = ad.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
     h1 = ad.relu(ad.add(ad.matmul(flat, params.w1), params.b1))
     h2 = ad.relu(ad.add(ad.matmul(h1, params.w2), params.b2))
-    return apply_readout(h2, params.readout, spec.t_future, spec.hidden)
+    return apply_readout(h2, params.readout)
 
 
 def backbone_forward(x_prime: Tensor, graph, params, spec: BackboneSpec
                      ) -> tuple[Tensor, Tensor]:
     """Dispatch on kind; returns (forecast, penultimate features)."""
     if spec.kind == "mlp-mixer":
-        return mlp_mixer_forward(x_prime, params, spec)
+        return mlp_mixer_forward(x_prime, params)
     if graph is None:
         raise ValueError("grugcn backbone requires a graph")
-    return grugcn_forward(x_prime, graph, params, spec)
+    return grugcn_forward(x_prime, graph, params)
 
 
 def init_backbone(spec: BackboneSpec, t_in: int, rng: np.random.Generator):

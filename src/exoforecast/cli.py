@@ -263,12 +263,14 @@ def _load_run(model_dir: Path) -> tuple[RunConfig, ExoModel, PreparedData]:
 def cmd_eval(args) -> int:
     if args.corrupt_ratio is not None and args.corrupt is None:
         raise ValueError("--corrupt-ratio needs --corrupt")
+    if args.corrupt is not None and args.corrupt_ratio is None:
+        raise ValueError("--corrupt needs --corrupt-ratio")
     model_dir = Path(args.model_dir)
     run, model, prepared = _load_run(model_dir)
     days = args.horizon_days or run.horizon_days
     _check_horizons(prepared, range(1, days + 1))
     rows = _evaluate(model, prepared, range(1, days + 1),
-                     corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio or 0.0,
+                     corrupt=args.corrupt, corrupt_ratio=args.corrupt_ratio,
                      corrupt_seed=args.corrupt_seed)
     _report(Path(args.out) if args.out else model_dir, "metrics", rows, [])
     return 0

@@ -194,6 +194,10 @@ def _read_rows(path, schema_path, roles) -> tuple[list[str], dict[str, tuple]]:
                     ts = parsed[ts_text] = datetime.fromisoformat(ts_text)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad timestamp {ts_text!r}") from exc
+                first = next(iter(parsed))
+                if (ts.tzinfo is None) != (parsed[first].tzinfo is None):
+                    raise ValueError(f"{path}:{lineno}: timestamp {ts_text!r} and the first "
+                                     f"data row's {first!r} differ in having a UTC offset")
             if node not in per_node:
                 per_node[node] = ([], array("d"))
             stamps, values = per_node[node]
@@ -424,9 +428,6 @@ def make_windows(panel: Panel, t_past: int,
     The windows are read-only views into per-split blocks, not copies:
     callers that change their values copy them first.
     """
-    if panel.n_steps < t_past + t_future:
-        raise ValueError(
-            f"segment length {panel.n_steps} shorter than {t_past}+{t_future}")
     return make_rollout_windows(panel, t_past, t_future, 1)
 
 
@@ -494,6 +495,8 @@ def corrupt_exogenous(samples: Windows, layout: FeatureLayout,
         raise ValueError(f"unknown corruption strategy {strategy!r}")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if ratio == 0.0:
         return samples
     rng = np.random.default_rng(seed)
@@ -619,7 +622,7 @@ class SynthConfig:
     future_coef: float = 1.0
 
     def __post_init__(self):
-        for name, least in (("nodes", 1), ("steps", 2), ("lag", 0)):
+        for name, least in (("nodes", 1), ("steps", 2), ("lag", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("past_coef", "future_coef"):

@@ -100,9 +100,6 @@ class Graph(Params):
             return adaptive_adjacency(self.embeddings)
         return adaptive_adjacency_directed(self.src_embeddings, self.dst_embeddings)
 
-    def parameters(self, prefix: str = "graph") -> dict[str, Tensor]:
-        return super().parameters(prefix)
-
 
 def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = None,
                 k: int = 8, rng: Optional[np.random.Generator] = None) -> Graph:

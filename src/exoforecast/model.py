@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import BACKBONE_KINDS, BackboneSpec, backbone_forward, init_backbone
+from .backbones import (BACKBONE_KINDS, BackboneSpec, backbone_forward, init_backbone,
+                        readout_head)
 from .fusion import (
     FUSION_STRATEGIES,
     AttentionParams,
@@ -85,10 +86,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("t_past", "t_future", "hidden", "experts", "mix_hidden",
-                     "graph_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("t_past", 1), ("t_future", 1), ("hidden", 1), ("experts", 1),
+                            ("mix_hidden", 1), ("graph_k", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name, allowed in (("backbone", BACKBONE_KINDS), ("graph_kind", GRAPH_KINDS),
                               ("fusion", FUSION_STRATEGIES)):
             if getattr(self, name) not in allowed:
@@ -218,21 +219,21 @@ class ExoModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x, e_past, e_future, *, train: bool = False,
-                rng: Optional[np.random.Generator] = None
+    def forward(self, x, e_past, e_future, *, rng: Optional[np.random.Generator] = None
                 ) -> tuple[Tensor, Optional[Tensor]]:
         """Run the full pipeline; returns (prediction, alpha or None).
 
-        Inputs may be numpy arrays or Tensors shaped (..., N, T, F).
+        Inputs may be numpy arrays or Tensors shaped (..., N, T, F). A given
+        ``rng`` means training: both select stages draw their dropout masks
+        from it, past branch first, when ``keep_prob < 1``. Without one the
+        forward is the eval-mode map and draws nothing.
         """
         cfg = self.config
         x = ad.as_tensor(x)
         e_past = ad.as_tensor(e_past)
         e_future = ad.as_tensor(e_future)
-        x_p = select_stage(x, e_past, self.embed_p, self.bank_p,
-                           pad_side="head", train=train, rng=rng)
-        x_f = select_stage(x, e_future, self.embed_f, self.bank_f,
-                           pad_side="tail", train=train, rng=rng)
+        x_p = select_stage(x, e_past, self.embed_p, self.bank_p, pad_side="head", rng=rng)
+        x_f = select_stage(x, e_future, self.embed_f, self.bank_f, pad_side="tail", rng=rng)
         adj = self.graph.matrix() if self.graph is not None else None
         backbone_f = self.backbone_p if cfg.fusion == "shared" else self.backbone_f
         y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
@@ -249,11 +250,8 @@ class ExoModel:
         # attention operates on the width-H penultimate readout features,
         # each enhanced state mapped through its branch's output head
         enh_p, enh_f = attention_enhance(pen_p, pen_f, self.attention)
-        head_p = self.backbone_p.readout
-        head_f = backbone_f.readout
-        out_p = ad.add(ad.matmul(enh_p, head_p.w_out), head_p.b_out)
-        out_f = ad.add(ad.matmul(enh_f, head_f.w_out), head_f.b_out)
-        return fuse_simple(out_p, out_f), None
+        return fuse_simple(readout_head(enh_p, self.backbone_p.readout),
+                           readout_head(enh_f, backbone_f.readout)), None
 
     def predict(self, x, e_past, e_future) -> np.ndarray:
         """Eval-mode forward returning plain values.

@@ -2,7 +2,9 @@
 
 Endogenous history is projected into an exogenous-conditioned latent space
 (one space per exogenous type), then K expert projections are convexly
-recombined per node and step by a dense softmax gate. A branch records four
+recombined per node and step by a dense softmax gate. A given rng means
+training: dropout then draws from it whenever ``keep_prob < 1``, and without
+one the stage is the eval-mode map and draws nothing. A branch records four
 tape nodes: the fused conditional embedding (``autodiff.cond_embed``), the
 gate's matmul and softmax, and the fused recombination
 (``autodiff.moe_combine``). Both fused nodes keep their inputs, not their
@@ -83,14 +85,18 @@ def _pad_time(t: Tensor, length: int, side: str) -> Tensor:
 
 
 def conditional_embed(x: Tensor, e: Tensor, params: CondEmbedParams, *,
-                      pad_side: str = "head", train: bool = False,
+                      pad_side: str = "head",
                       rng: Optional[np.random.Generator] = None) -> Tensor:
     """Dropout(Act(x W_x + e W_e + b)) with element-wise add fusion.
+
+    A given ``rng`` means training: dropout draws its mask from it when
+    ``params.keep_prob < 1``. Without one, or at ``keep_prob`` 1, the
+    dropout is the identity and nothing is drawn.
 
     When the two streams differ in length the shorter one is zero-padded
     along time: at the head for the past branch, at the tail for the future.
     The rest is one ``autodiff.cond_embed`` node, which keeps ``x``, ``e``
-    and, in training mode, the ``bool`` dropout mask, and recomputes the
+    and, when it drops, the ``bool`` dropout mask, and recomputes the
     pre-activation in backward.
     """
     if x.shape[-1] != params.w_x.shape[0]:
@@ -99,14 +105,11 @@ def conditional_embed(x: Tensor, e: Tensor, params: CondEmbedParams, *,
     if e.shape[-1] != params.w_e.shape[0]:
         raise ValueError(
             f"exogenous feature dim {e.shape[-1]} != {params.w_e.shape[0]}")
-    dropout = train and params.keep_prob < 1.0
-    if dropout and rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng")
     length = max(x.shape[-2], e.shape[-2])
     x = _pad_time(x, length, pad_side)
     e = _pad_time(e, length, pad_side)
     return ad.cond_embed(x, e, params.w_x, params.w_e, params.b, params.activation,
-                         params.keep_prob, rng if dropout else None)
+                         params.keep_prob, rng if params.keep_prob < 1.0 else None)
 
 
 def moe_gate(x_tau: Tensor, gate: Tensor) -> Tensor:
@@ -126,11 +129,12 @@ def moe_select(x_tau: Tensor, bank: ExpertBank, g: Tensor) -> Tensor:
 
 
 def select_stage(x: Tensor, e: Tensor, embed: CondEmbedParams,
-                 bank: Optional[ExpertBank], *, pad_side: str, train: bool = False,
+                 bank: Optional[ExpertBank], *, pad_side: str,
                  rng: Optional[np.random.Generator] = None) -> Tensor:
     """Full select stage; without a bank (the selector ablation) the
-    conditional embedding passes through."""
-    x_tau = conditional_embed(x, e, embed, pad_side=pad_side, train=train, rng=rng)
+    conditional embedding passes through. A given ``rng`` means training:
+    the embedding's dropout draws from it."""
+    x_tau = conditional_embed(x, e, embed, pad_side=pad_side, rng=rng)
     if bank is None:
         return x_tau
     return moe_select(x_tau, bank, moe_gate(x_tau, bank.gate))

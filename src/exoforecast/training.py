@@ -72,9 +72,9 @@ class TrainConfig:
     loss: str = "mae"            # one of LOSSES
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("patience", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.lr_min >= 0.0:  # also true for nan
             raise ValueError(f"lr_min must be >= 0, got {self.lr_min}")
         if not self.lr_max < math.inf:  # also true for nan
@@ -200,7 +200,7 @@ def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
             x, e_p, e_f, y = stack_samples(train_samples[order[lo:lo + batch]])
             model.zero_grad()
             with Tape() as tape:
-                pred, _ = model.forward(x, e_p, e_f, train=True, rng=rng)
+                pred, _ = model.forward(x, e_p, e_f, rng=rng)
                 loss = _loss_tensor(pred, y, config.loss)
             loss_val = float(loss.values)
             if not math.isfinite(loss_val):

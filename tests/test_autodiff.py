@@ -226,6 +226,19 @@ def test_matmul_shape_mismatch():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+@pytest.mark.parametrize("kind, n_inputs, attrs", [
+    ("matmul", 2, {"axis": 1}),
+    ("relu", 1, {"slope": 0.1}),
+    ("softmax-over-axis", 1, {"axes": 0}),
+    ("concat-over-axis", 2, {"axis": 0, "shape": (4, 2)}),
+])
+def test_apply_primitive_rejects_an_attribute_its_primitive_does_not_take(
+        kind, n_inputs, attrs):
+    inputs = [Tensor(np.ones((2, 2))) for _ in range(n_inputs)]
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        apply_primitive(kind, inputs, **attrs)
+
+
 def test_unknown_primitive_kind():
     with pytest.raises(ValueError, match="unknown primitive"):
         apply_primitive("conv2d", [Tensor(np.ones(3))])

@@ -77,12 +77,12 @@ def grugcn_step(h: Tensor, x_t: Tensor, adj: Tensor, params) -> Tensor:
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
 
 
-def composed_grugcn_forward(x, adj, params, spec):
+def composed_grugcn_forward(x, adj, params):
     """``grugcn_forward`` with the recurrence run step by step."""
     h = Tensor(np.zeros(x.shape[:-2] + (x.shape[-1],)))
     for t in range(x.shape[-2]):
         h = grugcn_step(h, x[..., t, :], adj, params)
-    return apply_readout(h, params.readout, spec.t_future, spec.hidden)
+    return apply_readout(h, params.readout)
 
 
 def mixer_oracle(x, p, t_future, hidden):
@@ -134,9 +134,9 @@ class TestGruGcn:
         p = init_grugcn(spec, rng)
         x = rng.normal(size=(5, 6, 3))
         adj = Tensor(np.eye(5))
-        y, _ = grugcn_forward(Tensor(x), adj, p, spec)
+        y, _ = grugcn_forward(Tensor(x), adj, p)
         perm = [3, 0, 4, 1, 2]
-        y_p, _ = grugcn_forward(Tensor(x[perm]), adj, p, spec)
+        y_p, _ = grugcn_forward(Tensor(x[perm]), adj, p)
         np.testing.assert_allclose(y_p.values, y.values[perm], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -146,7 +146,7 @@ class TestGruGcn:
         p = init_grugcn(spec, rng)
         x = rng.normal(size=(2, 3, 2))
         adj = rng.normal(size=(2, 2))
-        y, _ = grugcn_forward(Tensor(x), Tensor(adj), p, spec)
+        y, _ = grugcn_forward(Tensor(x), Tensor(adj), p)
         np.testing.assert_allclose(y.values, grugcn_oracle(x, adj, p, 2, 2),
                                    atol=1e-9)
 
@@ -159,7 +159,7 @@ class TestGruGcn:
         wrt = list(p.parameters("bb").values())
 
         def f():
-            y, _ = grugcn_forward(x, adj, p, spec)
+            y, _ = grugcn_forward(x, adj, p)
             return ad.reduce_sum(y)
 
         assert grad_check(f, wrt, step=1e-5) < 1e-4
@@ -179,7 +179,7 @@ class TestMlpMixer:
         spec = BackboneSpec("mlp-mixer", hidden=2, t_future=2, mix_hidden=3)
         p = init_mlp_mixer(spec, t_in=3, rng=rng)
         x = rng.normal(size=(2, 3, 2))
-        y, _ = mlp_mixer_forward(Tensor(x), p, spec)
+        y, _ = mlp_mixer_forward(Tensor(x), p)
         np.testing.assert_allclose(y.values, mixer_oracle(x, p, 2, 2), atol=1e-9)
 
     def test_single_node_reduces_to_feedforward(self):
@@ -187,7 +187,7 @@ class TestMlpMixer:
         spec = BackboneSpec("mlp-mixer", hidden=2, t_future=3, mix_hidden=4)
         p = init_mlp_mixer(spec, t_in=4, rng=rng)
         x = rng.normal(size=(1, 4, 2))
-        y, _ = mlp_mixer_forward(Tensor(x), p, spec)
+        y, _ = mlp_mixer_forward(Tensor(x), p)
         flat = x[0].reshape(1, -1)
         h1 = np.maximum(flat @ p.w1.values + p.b1.values, 0.0)
         h2 = np.maximum(h1 @ p.w2.values + p.b2.values, 0.0)
@@ -203,7 +203,7 @@ class TestMlpMixer:
         wrt = list(p.parameters("bb").values())
 
         def f():
-            y, _ = mlp_mixer_forward(x, p, spec)
+            y, _ = mlp_mixer_forward(x, p)
             return ad.reduce_sum(y)
 
         assert grad_check(f, wrt, step=1e-5) < 1e-4
@@ -214,7 +214,7 @@ class TestContract:
         rng = np.random.default_rng(7)
         spec = BackboneSpec("mlp-mixer", hidden=4, t_future=24, mix_hidden=8)
         p = init_mlp_mixer(spec, t_in=24, rng=rng)
-        y, _ = mlp_mixer_forward(Tensor(rng.normal(size=(3, 24, 4))), p, spec)
+        y, _ = mlp_mixer_forward(Tensor(rng.normal(size=(3, 24, 4))), p)
         assert y.shape == (3, 24, 1)
 
     @pytest.mark.parametrize("kind", ["grugcn", "mlp-mixer"])
@@ -239,9 +239,9 @@ class TestContract:
         p = init_grugcn(spec, rng)
         x = rng.normal(size=(4, 2, 5, 2))  # (B, N, T, H)
         adj = Tensor(np.eye(2))
-        y_batch, _ = grugcn_forward(Tensor(x), adj, p, spec)
+        y_batch, _ = grugcn_forward(Tensor(x), adj, p)
         for b in range(4):
-            y_one, _ = grugcn_forward(Tensor(x[b]), adj, p, spec)
+            y_one, _ = grugcn_forward(Tensor(x[b]), adj, p)
             np.testing.assert_allclose(y_batch.values[b], y_one.values, atol=1e-12)
 
 
@@ -338,7 +338,7 @@ def _run_model(cfg, series, inputs, probed):
         model_module.backbone_forward = probed_forward
     try:
         with ad.Tape() as tape:
-            y, _ = model.forward(*inputs, train=True, rng=np.random.default_rng(5))
+            y, _ = model.forward(*inputs, rng=np.random.default_rng(5))
             loss = ad.mean(ad.mul(y, y))
         tape.backward(loss)
     finally:

@@ -322,7 +322,7 @@ class TestWindows:
                 s.x[:, :, 0], panel.data[:, s.offset:s.offset + 6, tgt])
 
     def test_too_short(self):
-        with pytest.raises(ValueError, match="shorter"):
+        with pytest.raises(ValueError, match="too short"):
             make_windows(tiny_panel(t=5), 4, 4)
 
     @settings(max_examples=25, deadline=None)

@@ -189,9 +189,10 @@ class TestGraphHolder:
 
     def test_adaptive_parameters_registered(self):
         g = build_graph("adaptive", 4, rng=np.random.default_rng(0))
-        assert set(g.parameters()) == {"graph.embeddings"}
+        assert set(g.parameters("graph")) == {"graph.embeddings"}
         g2 = build_graph("adaptive-directed", 4, rng=np.random.default_rng(0))
-        assert set(g2.parameters()) == {"graph.src_embeddings", "graph.dst_embeddings"}
+        assert set(g2.parameters("graph")) == {"graph.src_embeddings",
+                                            "graph.dst_embeddings"}
         rows = g2.matrix().values.sum(axis=1)
         np.testing.assert_allclose(rows, np.ones(4), atol=1e-6)
 
@@ -199,7 +200,7 @@ class TestGraphHolder:
         assert EMBED_DIM == 8
         for kind in ("adaptive", "adaptive-directed"):
             g = build_graph(kind, 5, rng=np.random.default_rng(0))
-            for name, t in g.parameters().items():
+            for name, t in g.parameters("graph").items():
                 assert t.shape == (5, EMBED_DIM), name
 
     def test_unknown_kind(self):

@@ -133,6 +133,12 @@ PANEL_DAMAGE = {
         ["csv"], _rows(lambda lines: [lines[0], lines[1].replace(b"T00:", b"T25:"),
                                       *lines[2:]]),
         "bad timestamp"),
+    "naive-and-aware-timestamps": (
+        ["csv"], _rows(lambda lines: [*lines[:2], lines[2].replace(b"T01:00:00,",
+                                                                  b"T01:00:00+00:00,"),
+                                      *lines[3:]]),
+        ":3: timestamp '2019-01-01T01:00:00+00:00' and the first data row's "
+        "'2019-01-01T00:00:00' differ in having a UTC offset"),
     "bad-value": (
         ["csv"], _rows(lambda lines: [lines[0], lines[1] + b"x", *lines[2:]]),
         "bad value"),

@@ -11,6 +11,7 @@ import pytest
 from exoforecast import autodiff as ad
 from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
+from exoforecast.fusion import FUSION_STRATEGIES
 from exoforecast.model import ExoModel, ModelConfig, load_model, load_tensors, save_model, save_tensors
 from helpers import sigmoid, traced_peak
 
@@ -130,9 +131,32 @@ class TestForward:
         model = ExoModel(cfg)
         x, e_p, e_f = tiny_inputs(cfg)
         ref = model.predict(x, e_p, e_f)
-        out, _ = model.forward(x, e_p, e_f, train=True,
-                               rng=np.random.default_rng(3))
+        out, _ = model.forward(x, e_p, e_f, rng=np.random.default_rng(3))
         assert np.abs(out.values - ref).max() > 0
+
+    @pytest.mark.parametrize("fusion", FUSION_STRATEGIES)
+    def test_forward_without_rng_is_predict_and_draws_nothing(self, fusion):
+        """No rng means eval mode even with dropout configured: the forecast
+        equals ``predict``'s by bytes, and numpy's global generator, the one
+        a forward could draw from unasked, gives the same next draws."""
+        cfg = tiny_config(keep_prob=0.5, fusion=fusion)
+        model = ExoModel(cfg)
+        x, e_p, e_f = tiny_inputs(cfg, batch=3)
+        state = np.random.get_state()
+        y_hat, _ = model.forward(x, e_p, e_f)
+        after = np.random.random(3)
+        np.random.set_state(state)
+        assert after.tobytes() == np.random.random(3).tobytes()
+        assert y_hat.values.tobytes() == model.predict(x, e_p, e_f).tobytes()
+
+    def test_forward_with_rng_at_keep_prob_one_draws_nothing(self):
+        cfg = tiny_config(keep_prob=1.0)
+        model = ExoModel(cfg)
+        x, e_p, e_f = tiny_inputs(cfg, batch=3)
+        rng = np.random.default_rng(4)
+        y_hat, _ = model.forward(x, e_p, e_f, rng=rng)
+        assert rng.random(3).tobytes() == np.random.default_rng(4).random(3).tobytes()
+        assert y_hat.values.tobytes() == model.predict(x, e_p, e_f).tobytes()
 
     def test_unequal_window_lengths_pad(self):
         cfg = tiny_config(t_past=5, t_future=3, backbone="mlp-mixer")

@@ -153,6 +153,6 @@ def test_training_forward_reads_every_parameter(backbone, fusion, graph, selecto
     with ad.Tape() as tape:  # keep_prob 0.9: dropout is on
         model.forward(rng.normal(size=(2, N, T_PAST, 1)),
                       rng.normal(size=(2, N, T_PAST, PAST)),
-                      rng.normal(size=(2, N, T_FUTURE, FUTURE)), train=True, rng=rng)
+                      rng.normal(size=(2, N, T_FUTURE, FUTURE)), rng=rng)
     read = {id(t) for node in tape.nodes for t in node.inputs}
     assert [name for name, t in model.parameters().items() if id(t) not in read] == []

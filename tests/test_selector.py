@@ -106,12 +106,6 @@ class TestConditionalEmbed:
             conditional_embed(Tensor(np.zeros((1, 3, 5))),
                               Tensor(np.zeros((1, 3, 1))), params)
 
-    def test_dropout_needs_rng(self):
-        params = init_cond_embed(1, 1, 2, np.random.default_rng(0), keep_prob=0.5)
-        with pytest.raises(ValueError, match="rng"):
-            conditional_embed(Tensor(np.zeros((1, 2, 1))),
-                              Tensor(np.zeros((1, 2, 1))), params, train=True)
-
     def test_eval_mode_ignores_dropout(self):
         rng = np.random.default_rng(7)
         params = init_cond_embed(1, 1, 2, rng, keep_prob=0.5)
@@ -388,8 +382,7 @@ PRIMITIVE_ACTIVATIONS = {
 }
 
 
-def composed_conditional_embed(x, e, params, *, pad_side="head", train=False,
-                               rng=None):
+def composed_conditional_embed(x, e, params, *, pad_side="head", rng=None):
     """Reference for ``conditional_embed``: the matmul/add/activation/dropout
     composition that ``autodiff.cond_embed`` fuses (up to 6 tape nodes)."""
     length = max(x.shape[-2], e.shape[-2])
@@ -397,7 +390,7 @@ def composed_conditional_embed(x, e, params, *, pad_side="head", train=False,
     e = selector._pad_time(e, length, pad_side)
     pre = ad.add(ad.add(ad.matmul(x, params.w_x), ad.matmul(e, params.w_e)), params.b)
     act = PRIMITIVE_ACTIVATIONS[params.activation](pre)
-    if train and params.keep_prob < 1.0:
+    if rng is not None and params.keep_prob < 1.0:
         return ad.dropout(act, params.keep_prob, rng, train=True)
     return act
 
@@ -442,7 +435,7 @@ def _run_embed(fn, case, activation, train, keep_prob, tracked):
         xp, ep = (probe(n, t) for n, t in zip(("x", "e"), data))
         params = CondEmbedParams(w_x=w_xp, w_e=w_ep, b=bp, activation=activation,
                                  keep_prob=keep_prob)
-        out = fn(xp, ep, params, train=train, rng=rng)
+        out = fn(xp, ep, params, rng=rng if train else None)
         loss = ad.reduce_sum(ad.mul(out, Tensor(r)))
     tape.backward(loss)
     grads = [t.grad for t in leaves] + ([t.grad for t in data] if tracked else [])
@@ -521,8 +514,7 @@ class TestSelectStage:
                     _patch_composition(m)
                 model, inputs = _paper_model(backbone, batch)
                 with ad.Tape() as tape:
-                    y, _ = model.forward(*inputs, train=True,
-                                         rng=np.random.default_rng(5))
+                    y, _ = model.forward(*inputs, rng=np.random.default_rng(5))
                     loss = ad.mean(ad.mul(y, y))
                 tape.backward(loss)
                 grads = [t.grad for t in model.parameters().values()]

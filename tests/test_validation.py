@@ -8,6 +8,7 @@ import pytest
 
 from exoforecast import cli
 from exoforecast.cli import main
+from exoforecast.data import SynthConfig, corrupt_exogenous, make_windows, synth_generate
 from exoforecast.model import ModelConfig
 from exoforecast.training import TrainConfig
 from helpers import one_error_line
@@ -58,6 +59,45 @@ class TestModelConfig:
         assert config.hidden == 1
 
 
+class TestSeeds:
+    """A negative seed is named by its setting, not in numpy's words."""
+
+    @pytest.mark.parametrize("build", [
+        lambda seed: ModelConfig(n_nodes=2, past_exo_dim=1, future_exo_dim=1, seed=seed),
+        lambda seed: TrainConfig(seed=seed),
+        lambda seed: SynthConfig(seed=seed),
+    ], ids=["model", "train", "synth"])
+    def test_negative_seed_is_rejected_and_zero_accepted(self, build):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            build(-1)
+        assert build(0).seed == 0
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_corruption_rejects_a_negative_seed(self, ratio):
+        windows, layout = make_windows(synth_generate(SynthConfig(nodes=2, steps=40)), 6, 4)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            corrupt_exogenous(windows, layout, "zero", ratio, seed=-1)
+
+    def test_synth_command_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert one_error_line(capsys) == "error: seed must be >= 0, got -1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--corrupt", "random", "--corrupt-ratio", "0.5"]),
+        ("corrupt-eval", []),
+    ])
+    def test_negative_corrupt_seed_fails(self, run_dir, tmp_path, capsys, command, flags):
+        before = sorted(p.name for p in run_dir.iterdir())
+        rc = main([command, "--model-dir", str(run_dir), *flags, "--corrupt-seed", "-1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert one_error_line(capsys) == "error: seed must be >= 0, got -1"
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == before
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("name, value", [("epochs", 0), ("epochs", -2),
                                              ("batch_size", 0), ("batch_size", -3)])
@@ -90,6 +130,7 @@ BAD_FLAGS = [
     ({"--weight-decay": "nan"}, "weight_decay must be >= 0 and finite, got nan"),
     ({"--weight-decay": "inf"}, "weight_decay must be >= 0 and finite, got inf"),
     ({"--weight-decay": "-1"}, "weight_decay must be >= 0 and finite, got -1.0"),
+    ({"--seed": "-1"}, "seed must be >= 0, got -1"),
 ]
 
 
@@ -125,6 +166,8 @@ class TestCommandLine:
         ("model", "hidden", 4.0, "ModelConfig key hidden must be int, got float"),
         ("model", "t_past", "6", "ModelConfig key t_past must be int, got str"),
         ("model", "seed", True, "ModelConfig key seed must be int, got bool"),
+        ("model", "seed", -1, "seed must be >= 0, got -1"),
+        ("train", "seed", -1, "seed must be >= 0, got -1"),
         ("model", "keep_prob", "0.9", "ModelConfig key keep_prob must be float, got str"),
         ("model", "use_selector", 1, "ModelConfig key use_selector must be bool, got int"),
         ("model", "backbone", None, "ModelConfig key backbone must be str, got NoneType"),
@@ -181,9 +224,11 @@ class TestCommandLine:
         assert one_error_line(capsys) == "error: --corrupt-ratio needs --corrupt"
         assert not (tmp_path / "out").exists()
 
-    def test_corrupt_without_ratio_scores_clean_windows(self, run_dir, tmp_path):
-        for name, extra in (("plain", []), ("zero", ["--corrupt", "zero"])):
-            assert main(["eval", "--model-dir", str(run_dir),
-                         "--out", str(tmp_path / name), *extra]) == 0
-        assert (tmp_path / "zero" / "metrics.json").read_bytes() == \
-            (tmp_path / "plain" / "metrics.json").read_bytes()
+    @pytest.mark.parametrize("strategy", ["zero", "random"])
+    def test_corrupt_needs_corrupt_ratio(self, tmp_path, capsys, strategy):
+        # no archive: the flags are checked before anything loads
+        rc = main(["eval", "--model-dir", str(tmp_path / "absent"), "--corrupt", strategy,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert one_error_line(capsys) == "error: --corrupt needs --corrupt-ratio"
+        assert not (tmp_path / "out").exists()
