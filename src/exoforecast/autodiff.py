@@ -19,7 +19,10 @@ Memory contract:
   the root or other outputs are still referenced (their ``.tape`` then
   reads ``None``).
 - ``Tape.backward`` releases the adjoint of each intermediate as soon as
-  the VJP of the node producing it has consumed it.
+  the VJP of the node producing it has consumed it, and adds each leaf
+  contribution into ``.grad`` in place as it arrives, so it holds no
+  running sum of a leaf's adjoint.
+- ``affine`` keeps its inputs and output, not the product ``a @ w``.
 - ``cond_embed`` keeps its inputs ``x`` and ``e``, the weights and, in
   training mode, a ``bool`` dropout keep-mask (one byte per output
   element); its VJP recomputes the pre-activation and the activation.
@@ -33,8 +36,9 @@ Memory contract:
   the active tape is per thread, and each thread forwarding a chunk, the
   calling one included, holds that chunk's transients alone.
 - ``gru_gcn_sequence`` keeps nothing per step when no tape records it.
-  Recorded, it keeps ``A x`` and ``s = A x W_s`` for all T steps plus the
-  state h and the gates z, r and candidate c of each step; its VJP
+  Recorded, it keeps the state h and the gates z, r and candidate c of
+  each step, four (..., N, T, H) blocks in all; its VJP rebuilds
+  ``A x_t`` and ``s = (A x_t) W_s`` with the forward's own calls and
   recomputes the concatenations ``[s, h]`` and ``[s, r * h]``.
 """
 
@@ -166,8 +170,12 @@ class Tape:
 
         Only leaves get a ``.grad``; the adjoint of an intermediate (a tensor
         recorded on this tape) lives in a local map and is released as soon
-        as the VJP of the node that produced it has consumed it. Leaf
-        adjoints are summed over the sweep and added to ``.grad`` at the end.
+        as the VJP of the node that produced it has consumed it. Each leaf
+        contribution is added into ``.grad`` in place as it arrives. From
+        zeroed grads, as ``train`` and ``grad_check`` start, that gives the
+        bits of summing a leaf's contributions first and adding the sum to
+        ``.grad``; on a replay without zeroing, only the rounding of the
+        repeat differs.
 
         A VJP returns one entry per input: ``None``, an array, or a list of
         arrays that are added to that input's adjoint one at a time, in list
@@ -179,7 +187,6 @@ class Tape:
         if root.values.size != 1:
             raise ValueError(f"backward root must be scalar-shaped, got {root.shape}")
         adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
-        leaf: dict[int, list] = {}  # id -> [leaf tensor, summed adjoint]
         for node in reversed(self.nodes):
             g_out = adjoint.pop(id(node.output), None)
             if g_out is None:
@@ -192,12 +199,7 @@ class Tape:
                     if t._tape is self._ref:
                         adjoint[key] = adjoint[key] + g if key in adjoint else g
                     elif t.requires_grad:
-                        if key in leaf:
-                            leaf[key][1] = leaf[key][1] + g
-                        else:
-                            leaf[key] = [t, g]
-        for t, g in leaf.values():
-            t.grad = t.grad + g.reshape(t.values.shape)
+                        t.grad += g.reshape(t.values.shape)
 
 
 def _tracked(t: Tensor, tape: Tape) -> bool:
@@ -260,12 +262,16 @@ def mul(a, b) -> Tensor:
     return _record("elementwise-mul", (a, b), out, vjp)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul(a, b)
     out = np.matmul(a.values, b.values)
     av, bv = a.values, b.values
 
@@ -275,6 +281,28 @@ def matmul(a, b) -> Tensor:
         return _sum_to_shape(ga, av.shape), _sum_to_shape(gb, bv.shape)
 
     return _record("matmul", (a, b), out, vjp)
+
+
+def affine(a, w, b) -> Tensor:
+    """Dense layer ``a @ w + b`` as one node.
+
+    The value and every gradient equal ``add(matmul(a, w), b)`` bit for bit.
+    The tape keeps ``a``, ``w``, ``b`` and the output, not the product.
+    """
+    # Inputs in the order the composition's backward reached them.
+    ins = tuple(as_tensor(t) for t in (b, a, w))
+    b, a, w = ins
+    _check_matmul(a, w)
+    av, wv, bv = a.values, w.values, b.values
+    out = np.matmul(av, wv) + bv
+
+    def vjp(g):
+        ga = np.matmul(g, np.swapaxes(wv, -1, -2))
+        gw = np.matmul(np.swapaxes(av, -1, -2), g)
+        return (_sum_to_shape(g, bv.shape), _sum_to_shape(ga, av.shape),
+                _sum_to_shape(gw, wv.shape))
+
+    return _record("affine", ins, out, vjp)
 
 
 def _relu_rule(v: np.ndarray):
@@ -755,35 +783,38 @@ def gru_gcn_sequence(x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c) -> Tensor:
     From ``h = 0``, each step t computes ``s = A x_t W_s``, gates
     ``z, r = sigmoid([s, h] W_z + b_z), sigmoid([s, h] W_r + b_r)``, the
     candidate ``c = tanh([s, r * h] W_c + b_c)`` and
-    ``h <- (1 - z) * h + z * c``. ``A x_t`` and its product with ``W_s`` are
-    taken for all T at once, and z and r come from one product with
-    ``[W_z | W_r]``; both give the per-step products' bits. ``[s, h]`` is
-    never split into two products, which would change them.
+    ``h <- (1 - z) * h + z * c``. z and r come from one product with
+    ``[W_z | W_r]``, which gives the two products' bits; ``[s, h]`` is never
+    split into two products, which would change them.
 
     Unrecorded, the loop keeps only the running state. Recorded, it keeps
-    ``A x`` and ``s`` for all steps plus h, z, r and c of each step, and the
-    backward recomputes ``[s, h]`` and ``[s, r * h]``. The backward replays
-    the VJPs of the per-step composition of primitives in their order, from
-    step T-1 down to 0, and hands the tape one contribution per step for
-    ``adj`` and each weight, so every sum keeps its bits.
+    h, z, r and c of each step; the backward rebuilds ``A x_t`` and ``s``
+    with the forward's own calls, so they have the forward's bits, and
+    recomputes ``[s, h]`` and ``[s, r * h]``. It replays the VJPs of the
+    per-step composition of primitives in their order, from step T-1 down
+    to 0, and hands the tape one contribution per step for ``adj`` and each
+    weight, so every sum keeps its bits.
     """
     ins = tuple(as_tensor(t) for t in (x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c))
     x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c = ins
     xv, av, wsv = x.values, adj.values, w_s.values
     steps, width, hid = xv.shape[-2], wsv.shape[-1], w_z.values.shape[-1]
     flat = xv.shape[:-2] + (steps * xv.shape[-1],)
-    ax = np.matmul(av, xv.reshape(flat)).reshape(xv.shape)
-    s = np.matmul(ax.reshape(-1, xv.shape[-1]), wsv).reshape(xv.shape[:-1] + (width,))
+
+    def spatial(t):
+        """``A x_t`` and ``s = (A x_t) W_s``."""
+        ax_t = np.matmul(av, xv[..., t, :])
+        return ax_t, np.matmul(ax_t, wsv)
+
     w_zr = np.concatenate([w_z.values, w_r.values], axis=-1)
     b_zr = np.concatenate([b_z.values, b_r.values])
+    wzr_shape, bzr_shape = w_zr.shape, b_zr.shape  # all the VJP needs of them
     tape = _active_tape()
     recording = tape is not None and any(_tracked(t, tape) for t in ins)
-    if not recording:
-        ax = None
     h = np.zeros(xv.shape[:-2] + (hid,))
     hs, zrs, cs = [], [], []
     for t in range(steps):
-        s_t = s[..., t, :]
+        s_t = spatial(t)[1]
         zr = _sigmoid(np.matmul(np.concatenate([s_t, h], axis=-1), w_zr) + b_zr)
         z, r = zr[..., :hid], zr[..., hid:]
         c = np.tanh(np.matmul(np.concatenate([s_t, r * h], axis=-1), w_c.values)
@@ -800,11 +831,12 @@ def gru_gcn_sequence(x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c) -> Tensor:
     def vjp(g_h):
         wzt, wrt, wct, wst = (np.swapaxes(w.values, -1, -2)
                               for w in (w_z, w_r, w_c, w_s))
-        ds = np.empty(s.shape)
+        ds = np.empty(xv.shape[:-1] + (width,))
         d_ws, d_wz, d_bz, d_wr, d_br, d_wc, d_bc = ([] for _ in range(7))
         dh = g_h
         for t in reversed(range(steps)):
-            h, zr, c, s_t = hs[t], zrs[t], cs[t], s[..., t, :]
+            h, zr, c = hs[t], zrs[t], cs[t]
+            ax_t, s_t = spatial(t)
             z, r = zr[..., :hid], zr[..., hid:]
             # h' = (1 - z) * h + z * c
             d_zr = np.empty(zr.shape)
@@ -824,20 +856,20 @@ def gru_gcn_sequence(x, adj, w_s, w_z, b_z, w_r, b_r, w_c, b_c) -> Tensor:
             dh_prev = dh_prev + d_rh * r
             # [z | r] = sigmoid([s, h] [W_z | W_r] + [b_z | b_r])
             d_zr = d_zr * zr * (1.0 - zr)
-            d_b = _sum_to_shape(d_zr, b_zr.shape)
+            d_b = _sum_to_shape(d_zr, bzr_shape)
             d_bz.append(d_b[:hid])
             d_br.append(d_b[hid:])
             cat = np.concatenate([s_t, h], axis=-1)
-            d_w = _sum_to_shape(np.matmul(np.swapaxes(cat, -1, -2), d_zr), w_zr.shape)
+            d_w = _sum_to_shape(np.matmul(np.swapaxes(cat, -1, -2), d_zr), wzr_shape)
             d_wz.append(d_w[..., :hid])
             d_wr.append(d_w[..., hid:])
             d_cat = np.matmul(d_zr[..., hid:], wrt)
             d_cat = d_cat + np.matmul(d_zr[..., :hid], wzt)
             ds[..., t, :] = d_cat_r[..., :width] + d_cat[..., :width]
             dh = dh_prev + d_cat[..., width:]
-        for t in reversed(range(steps)):  # s_t = (A x_t) W_s
-            d_ws.append(_sum_to_shape(
-                np.matmul(np.swapaxes(ax[..., t, :], -1, -2), ds[..., t, :]), wsv.shape))
+            # s_t = (A x_t) W_s
+            d_ws.append(_sum_to_shape(np.matmul(np.swapaxes(ax_t, -1, -2), ds[..., t, :]),
+                                      wsv.shape))
         dx = d_adj = None
         if need_x or need_adj:
             dax = np.matmul(ds.reshape(-1, width), wst).reshape(xv.shape)

@@ -6,7 +6,8 @@ Both share a two-stage readout whose penultimate features (N, T_f, H) are
 exposed for the attention fusion strategy.
 
 The whole ``grugcn`` recurrence is one ``autodiff.gru_gcn_sequence`` tape
-node, so a branch records that node plus the five readout nodes.
+node and each dense layer one ``autodiff.affine`` node, so a branch records
+that node plus the three readout nodes: lift, reshape and head.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def init_mlp_mixer(spec: BackboneSpec, t_in: int, rng: np.random.Generator) -> M
 
 def readout_head(penult: Tensor, readout: ReadoutParams) -> Tensor:
     """Project width-H features (..., T_f, H) to one channel (..., T_f, 1)."""
-    return ad.add(ad.matmul(penult, readout.w_out), readout.b_out)
+    return ad.affine(penult, readout.w_out, readout.b_out)
 
 
 def apply_readout(features: Tensor, readout: ReadoutParams) -> tuple[Tensor, Tensor]:
@@ -121,7 +122,7 @@ def apply_readout(features: Tensor, readout: ReadoutParams) -> tuple[Tensor, Ten
     so the weights fix both sizes.
     """
     hidden = readout.w_out.shape[0]
-    lifted = ad.add(ad.matmul(features, readout.w_seq), readout.b_seq)
+    lifted = ad.affine(features, readout.w_seq, readout.b_seq)
     penult = ad.reshape(lifted, features.shape[:-1]
                         + (readout.w_seq.shape[1] // hidden, hidden))
     return readout_head(penult, readout), penult
@@ -137,8 +138,8 @@ def grugcn_forward(x: Tensor, adj: Tensor, params: GruGcnParams) -> tuple[Tensor
 def mlp_mixer_forward(x: Tensor, params: MlpMixerParams) -> tuple[Tensor, Tensor]:
     """Two-layer per-node map over the flattened time-feature window."""
     flat = ad.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-    h1 = ad.relu(ad.add(ad.matmul(flat, params.w1), params.b1))
-    h2 = ad.relu(ad.add(ad.matmul(h1, params.w2), params.b2))
+    h1 = ad.relu(ad.affine(flat, params.w1, params.b1))
+    h2 = ad.relu(ad.affine(h1, params.w2, params.b2))
     return apply_readout(h2, params.readout)
 
 

@@ -128,10 +128,6 @@ def _panel_sizes(prepared: PreparedData) -> dict:
             "future_exo_dim": len(prepared.layout.future)}
 
 
-def _model_config(args, prepared: PreparedData) -> ModelConfig:
-    return _settings(ModelConfig, args, **_panel_sizes(prepared))
-
-
 def _evaluate(model, prepared: PreparedData, horizons,
               corrupt: str | None = None, corrupt_ratio: float = 0.0,
               corrupt_seed: int = 0) -> list[dict]:
@@ -208,16 +204,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_run(args, prepared: PreparedData) -> RunConfig:
-    """The run archive for ``args``; the model config needs the layout widths."""
-    return _settings(RunConfig, args, model=_model_config(args, prepared),
-                     train=_settings(TrainConfig, args))
+def _build_run(args) -> RunConfig:
+    """The run archive for ``args``, built before the panel is read so that a
+    bad setting fails first; its model's panel sizes read 0 until ``_sized``."""
+    unsized = _settings(ModelConfig, args, n_nodes=0, past_exo_dim=0, future_exo_dim=0)
+    return _settings(RunConfig, args, model=unsized, train=_settings(TrainConfig, args))
+
+
+def _sized(run: RunConfig, prepared: PreparedData) -> RunConfig:
+    """``run`` with its model's panel sizes read from ``prepared``."""
+    return dataclasses.replace(
+        run, model=dataclasses.replace(run.model, **_panel_sizes(prepared)))
 
 
 def cmd_train(args) -> int:
-    prepared = _load_prepared(args)
-    _check_horizons(prepared, range(1, args.horizon_days + 1))
-    run = _build_run(args, prepared)
+    run = _build_run(args)
+    prepared = _load_prepared(run)
+    _check_horizons(prepared, range(1, run.horizon_days + 1))
+    run = _sized(run, prepared)
     model, result, rows = _fit(run, prepared, range(1, run.horizon_days + 1))
     _write_run_outputs(Path(args.out), run, model, result)
     print(f"trained {len(result.history)} epochs "
@@ -285,9 +289,10 @@ _DATA_ABLATIONS = [  # the seven past/future/date input combinations
 
 def cmd_ablate(args) -> int:
     rows = []
-    prepared = _load_prepared(args)
-    _check_horizons(prepared, [args.horizon_days])
-    base = _build_run(args, prepared)
+    base = _build_run(args)
+    prepared = _load_prepared(base)
+    _check_horizons(prepared, [base.horizon_days])
+    base = _sized(base, prepared)
 
     def one(label: str, *, use_past=True, use_future=True, use_date=True,
             fusion="context", use_selector=True):
@@ -338,7 +343,7 @@ def cmd_graph(args) -> int:
     below 1 fails as it does there, and the graph is built from the
     ``ModelConfig`` those checks made. ``--out`` reports the ``--graph`` kind."""
     prepared = _load_prepared(args)
-    cfg = _model_config(args, prepared)
+    cfg = _settings(ModelConfig, args, **_panel_sizes(prepared))
     graph = build_graph(cfg.graph_kind, cfg.n_nodes,
                         target_series=prepared.train_target_series, k=cfg.graph_k,
                         rng=np.random.default_rng(cfg.seed))

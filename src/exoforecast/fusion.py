@@ -87,8 +87,8 @@ def context_balance(y_p: Tensor, y_f: Tensor,
     context = ad.add(y_p, y_f)                       # (..., N, T_f, 1)
     pooled = ad.mean(context, axis=-3)               # (..., T_f, 1)
     descriptor = ad.reshape(pooled, pooled.shape[:-2] + (1, pooled.shape[-2]))
-    hidden = ad.relu(ad.add(ad.matmul(descriptor, params.w1), params.b1))
-    alpha_row = ad.sigmoid(ad.add(ad.matmul(hidden, params.w2), params.b2))
+    hidden = ad.relu(ad.affine(descriptor, params.w1, params.b1))
+    alpha_row = ad.sigmoid(ad.affine(hidden, params.w2, params.b2))
     # (..., 1, T_f) -> (..., 1 node, T_f steps, 1 channel)
     alpha_bc = ad.reshape(alpha_row, alpha_row.shape[:-2] + (1, alpha_row.shape[-1], 1))
     y_hat = context_combine(y_p, y_f, alpha_bc)

@@ -28,3 +28,18 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def retained_bytes(fn) -> int:
+    """The ``tracemalloc`` bytes that ``fn()``'s result keeps: the traced
+    memory current after one call, its result still held, minus before it.
+    Measured after one warm-up call that fills caches outside the measurement."""
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = fn()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return after - before

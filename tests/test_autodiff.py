@@ -18,7 +18,7 @@ from exoforecast import training
 from exoforecast.autodiff import Tape, Tensor, apply_primitive, grad_check
 from exoforecast.data import SynthConfig, prepare_splits, synth_generate
 from exoforecast.model import ExoModel, ModelConfig
-from helpers import traced_peak
+from helpers import retained_bytes, traced_peak
 
 
 def test_softmax_of_zeros_is_uniform():
@@ -513,3 +513,65 @@ def test_listed_contributions_match_separate_nodes():
     w_grad, v_grad = run(True)
     assert w_grad[0] == ((0.25 + 1.0) + 1e16) - 1e16 != 0.25 + 1.0
     assert v_grad[0] == ((0.5 + 1.0) + 1e16) - 1e16 != 0.5 + 1.0
+
+
+def _composed_affine(a, w, b):
+    return ad.add(ad.matmul(a, w), b)
+
+
+_AFFINE_SHAPES = [  # (a, w, b); the leading dimensions of a and w broadcast
+    ((5, 3), (3, 4), (4,)),
+    ((2, 6, 5, 3), (3, 4), (4,)),
+    ((2, 1, 5, 3), (6, 3, 4), (4,)),
+    ((6, 5, 3), (3, 4), (1, 4)),
+]
+
+
+def _two_dense_layers(fn, shapes, seed):
+    """Values and, from zeroed grads, the grads of a loss on two ``fn``
+    layers that share ``w`` and ``b``; the first reads an intermediate."""
+    rng = np.random.default_rng(seed)
+    a1, a2, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                    for s in (shapes[0], shapes[0], *shapes[1:]))
+    with Tape() as tape:
+        y1 = fn(ad.mul(a1, 1.0), w, b)
+        y2 = fn(a2, w, b)
+        r = Tensor(rng.normal(size=y1.shape))
+        loss = ad.add(ad.reduce_sum(ad.mul(y1, r)), ad.reduce_sum(ad.mul(y2, r)))
+    tape.backward(loss)
+    return [y1.values, y2.values, a1.grad, a2.grad, w.grad, b.grad]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shapes", _AFFINE_SHAPES)
+def test_affine_matches_composition_bit_for_bit(shapes, seed):
+    """Value and every grad, with ``w`` and ``b`` summed across two nodes."""
+    got = _two_dense_layers(ad.affine, shapes, seed)
+    want = _two_dense_layers(_composed_affine, shapes, seed)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("shapes", _AFFINE_SHAPES)
+def test_affine_gradcheck(shapes):
+    rng = np.random.default_rng(7)
+    a, w, b = (Tensor(rng.normal(size=s)) for s in shapes)
+    r = Tensor(rng.normal(size=ad.affine(a, w, b).shape))
+    assert grad_check(lambda: ad.reduce_sum(ad.mul(ad.affine(a, w, b), r)), [a, w, b]) < 1e-4
+
+
+def test_taped_affine_keeps_no_product():
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(64, 32, 16)), requires_grad=True)
+    w = Tensor(rng.normal(size=(16, 64)), requires_grad=True)
+    b = Tensor(rng.normal(size=(64,)), requires_grad=True)
+
+    def record(fn):
+        tape = Tape()
+        with tape:
+            fn(a, w, b)
+        return tape
+
+    out = 64 * 32 * 64 * 8
+    assert out <= retained_bytes(lambda: record(ad.affine)) < out + out // 8
+    assert retained_bytes(lambda: record(_composed_affine)) >= 2 * out

@@ -21,7 +21,7 @@ from exoforecast.backbones import (
 )
 from exoforecast.data import SynthConfig, prepare_splits, synth_generate
 from exoforecast.model import ExoModel, ModelConfig
-from helpers import sigmoid, traced_peak
+from helpers import retained_bytes, sigmoid, traced_peak
 
 
 def readout_oracle(feat, p, t_future, hidden):
@@ -412,8 +412,9 @@ class TestFusedGruGcn:
         assert grad_check(f, leaves[:9], step=1e-5) < 1e-4
 
     @pytest.mark.parametrize("fusion", ["context", "shared"])
-    def test_training_step_records_twelve_backbone_nodes(self, monkeypatch, fusion):
-        """Per step: each branch's fused recurrence plus its 5 readout nodes."""
+    def test_training_step_records_eight_backbone_nodes(self, monkeypatch, fusion):
+        """Per step: each branch's fused recurrence plus its 3 readout nodes:
+        affine lift, reshape and affine head."""
         prepared = prepare_splits(synth_generate(SynthConfig(nodes=3, steps=120, seed=0)),
                                   t_past=6, t_future=4)
         model = ExoModel(ModelConfig(
@@ -437,9 +438,30 @@ class TestFusedGruGcn:
         training.train(model, prepared.train[:2], prepared.val[:2], prepared.scaler,
                        prepared.target_channel,
                        training.TrainConfig(epochs=1, batch_size=2, seed=0))
-        # two samples make two steps of one window; each records 2 x 6 nodes
-        assert recorded == [6] * 4
-        assert ops.count("gru-gcn-sequence") == 4 and len(ops) == 2 * 12
+        # two samples make two steps of one window; each records 2 x 4 nodes
+        assert recorded == [4] * 4
+        assert ops.count("gru-gcn-sequence") == 4 and len(ops) == 2 * 8
+        assert ops.count("affine") == 2 * 4
+
+    def test_taped_recurrence_keeps_four_blocks_and_its_output(self):
+        """Recorded, the node keeps h, z, r and c of each step, four
+        (B, N, T, H) blocks; its backward rebuilds ``A x`` and ``s``."""
+        rng = np.random.default_rng(0)
+        b, n, t, h = 16, 8, 4, 16
+        x = Tensor(rng.normal(size=(b, n, t, h)), requires_grad=True)
+        adj = Tensor(rng.random((n, n)))
+        weights = [Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((h, h), (2 * h, h), (h,), (2 * h, h), (h,), (2 * h, h), (h,))]
+
+        def record():
+            tape = ad.Tape()
+            with tape:
+                ad.gru_gcn_sequence(x, adj, *weights)
+            return tape
+
+        block, out = x.values.nbytes, b * n * h * 8
+        kept = retained_bytes(record)
+        assert 4 * block + out <= kept <= 4 * block + out + block // 8, kept
 
     def test_untaped_predict_peaks_no_higher_than_composition(self, monkeypatch):
         cfg, series, inputs = _model_case("context", "pearson", 12, 12, 16,

@@ -146,6 +146,18 @@ class TestCommandLine:
         assert one_error_line(capsys) == f"error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--seed", "-1", "--epochs", "0"], "seed must be >= 0, got -1"),
+        ("ablate", ["--lr-max", "nan"], "lr_max must be finite, got nan"),
+    ])
+    def test_bad_flag_fails_before_the_panel_is_read(self, tmp_path, capsys, command,
+                                                     flags, message):
+        out = tmp_path / "out"
+        missing = ["--data", str(tmp_path / "nope.csv"), "--schema", str(tmp_path / "nope.json")]
+        assert main([command, *missing, *TINY, *flags, "--out", str(out)]) == 1
+        assert one_error_line(capsys) == f"error: {message}"
+        assert not out.exists()
+
     def test_negative_learning_rates_fail(self, data, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "train", _fail)
         out = tmp_path / "out"
