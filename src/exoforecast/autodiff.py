@@ -7,7 +7,8 @@ Everything is double precision; gradient checking at tight relative
 tolerances is not reliable in float32.
 
 A trainable tensor is a field of a ``Params`` dataclass and is named by
-its field path; it is drawn by ``uniform_parameter`` or starts at zero.
+its field path; it is drawn by ``uniform_parameter`` (or left there to be
+filled) or starts at zero.
 
 Memory contract:
 
@@ -105,8 +106,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def uniform_parameter(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
-    """Trainable leaf drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+def uniform_parameter(rng: Optional[np.random.Generator], shape: tuple,
+                      fan_in: int) -> Tensor:
+    """Trainable leaf drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), or,
+    without an ``rng``, left to be filled.
+
+    This is the one place that decides between the two. A leaf to be
+    filled holds no bytes of its own: it reads NaN, cannot be written in
+    place, and waits for its owner to set ``values``, as ``load_model``
+    does from its archive.
+    """
+    if rng is None:
+        return Tensor(np.broadcast_to(np.nan, shape), requires_grad=True)
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 

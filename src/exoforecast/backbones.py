@@ -72,7 +72,7 @@ class MlpMixerParams(Params):
 
 
 def init_readout(feat_dim: int, t_future: int, hidden: int,
-                 rng: np.random.Generator) -> ReadoutParams:
+                 rng: Optional[np.random.Generator]) -> ReadoutParams:
     return ReadoutParams(
         w_seq=ad.uniform_parameter(rng, (feat_dim, t_future * hidden), feat_dim),
         b_seq=Tensor(np.zeros(t_future * hidden), requires_grad=True),
@@ -81,7 +81,7 @@ def init_readout(feat_dim: int, t_future: int, hidden: int,
     )
 
 
-def init_grugcn(spec: BackboneSpec, rng: np.random.Generator) -> GruGcnParams:
+def init_grugcn(spec: BackboneSpec, rng: Optional[np.random.Generator]) -> GruGcnParams:
     h = spec.hidden
 
     def gate():
@@ -98,7 +98,8 @@ def init_grugcn(spec: BackboneSpec, rng: np.random.Generator) -> GruGcnParams:
     )
 
 
-def init_mlp_mixer(spec: BackboneSpec, t_in: int, rng: np.random.Generator) -> MlpMixerParams:
+def init_mlp_mixer(spec: BackboneSpec, t_in: int,
+                   rng: Optional[np.random.Generator]) -> MlpMixerParams:
     flat = t_in * spec.hidden
     m = spec.mix_hidden
     return MlpMixerParams(
@@ -153,7 +154,7 @@ def backbone_forward(x_prime: Tensor, graph, params, spec: BackboneSpec
     return grugcn_forward(x_prime, graph, params)
 
 
-def init_backbone(spec: BackboneSpec, t_in: int, rng: np.random.Generator):
+def init_backbone(spec: BackboneSpec, t_in: int, rng: Optional[np.random.Generator]):
     if spec.kind == "grugcn":
         return init_grugcn(spec, rng)
     return init_mlp_mixer(spec, t_in, rng)

@@ -344,9 +344,10 @@ def cmd_graph(args) -> int:
     ``ModelConfig`` those checks made. ``--out`` reports the ``--graph`` kind."""
     prepared = _load_prepared(args)
     cfg = _settings(ModelConfig, args, **_panel_sizes(prepared))
+    drawn = cfg.graph_kind.startswith("adaptive")  # the kinds with embeddings to draw
     graph = build_graph(cfg.graph_kind, cfg.n_nodes,
                         target_series=prepared.train_target_series, k=cfg.graph_k,
-                        rng=np.random.default_rng(cfg.seed))
+                        rng=np.random.default_rng(cfg.seed) if drawn else None)
     text = "".join("\t".join(repr(float(v)) for v in row) + "\n"
                    for row in graph.matrix().values)
     if args.out:

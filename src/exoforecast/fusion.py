@@ -12,6 +12,7 @@ model without its balancer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class AttentionParams(Params):
     w_v: Tensor
 
 
-def init_balancer(t_future: int, rng: np.random.Generator) -> BalancerParams:
+def init_balancer(t_future: int, rng: Optional[np.random.Generator]) -> BalancerParams:
     """A 4x bottleneck of ``max(t_future // 4, 4)`` units over the T_f
     per-step weights."""
     width = max(t_future // 4, 4)
@@ -52,7 +53,7 @@ def init_balancer(t_future: int, rng: np.random.Generator) -> BalancerParams:
     )
 
 
-def init_attention(width: int, rng: np.random.Generator) -> AttentionParams:
+def init_attention(width: int, rng: Optional[np.random.Generator]) -> AttentionParams:
     return AttentionParams(
         w_q=ad.uniform_parameter(rng, (width, width), width),
         w_k=ad.uniform_parameter(rng, (width, width), width),

@@ -109,8 +109,9 @@ def build_graph(kind: str, n_nodes: int, target_series: Optional[np.ndarray] = N
     node's ``min(k, n_nodes - 1)`` largest correlations. An adaptive kind
     draws its trainable (n_nodes, ``EMBED_DIM``) = (n_nodes, 8) embeddings,
     one for the undirected kind and a source and a target for the directed
-    one, from ``rng``, which it then requires: there is no default
-    generator. Identity needs neither.
+    one, from ``rng``; there is no default generator, and without one the
+    embeddings are left to be filled (``uniform_parameter``). Identity
+    needs neither.
     """
     if kind == "identity":
         return Graph(adjacency=np.eye(n_nodes))

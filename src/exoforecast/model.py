@@ -144,14 +144,18 @@ class ExoModel:
     A model builds only the tensors its forward reads: the expert banks only
     with the selector, and fusion parameters only for the strategy that
     needs them (``sum``, the balancer ablation, has none).
+
+    Its leaves are drawn from a generator seeded with ``config.seed``; with
+    ``draw=False`` no generator is built and each is left for
+    ``load_model`` to fill.
     """
 
     def __init__(self, config: ModelConfig,
                  target_series: Optional[np.ndarray] = None,
-                 static_adjacency: Optional[np.ndarray] = None):
+                 static_adjacency: Optional[np.ndarray] = None, *, draw: bool = True):
         self.config = config
         cfg = config
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if draw else None
         # one endogenous input: a window's ``x`` is the target channel alone
         self.embed_p = init_cond_embed(1, cfg.past_exo_dim, cfg.hidden, rng,
                                        keep_prob=cfg.keep_prob)
@@ -327,7 +331,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            arr = np.asarray(tensors[name], dtype="<f8")  # 0-d stays 0-d
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -342,21 +346,22 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
     Every read is length-checked: a wrong magic, a file that ends inside a
     record, or bytes after the last tensor raise ``ValueError`` naming
-    ``path``.
+    ``path``. Records are sliced from a view of the file's bytes, so each
+    tensor's values are copied once, into their own array.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
     magic = buf[:len(ARCHIVE_MAGIC)]
     if magic != ARCHIVE_MAGIC:
         raise ValueError(f"{path} is not a model archive (magic {magic!r})")
-    pos = len(ARCHIVE_MAGIC)
+    pos, view = len(ARCHIVE_MAGIC), memoryview(buf)
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(buf):
             raise ValueError(f"{path} is truncated: needs {pos + n} bytes, "
                              f"has {len(buf)}")
-        chunk = buf[pos:pos + n]
+        chunk = view[pos:pos + n]
         pos += n
         return chunk
 
@@ -366,7 +371,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     count = unpack("<I")
     out = {}
     for _ in range(count):
-        name = take(unpack("<H")).decode("utf-8")
+        name = str(take(unpack("<H")), "utf-8")
         shape = tuple(unpack("<I") for _ in range(unpack("<B")))
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         out[name] = data.reshape(shape).copy()
@@ -390,12 +395,18 @@ def load_model(path, config: ModelConfig) -> ExoModel:
     ``buffers()``, where a static graph's prepped (n_nodes, n_nodes)
     ``graph.static_adjacency`` is a buffer. Any other archive is a one-line
     ``ValueError`` naming ``path`` and the tensor.
+
+    A leaf is drawn or filled, never both. The model is built by
+    ``ExoModel.__init__`` with ``draw=False``, so each leaf
+    ``uniform_parameter`` would draw is left to be filled; then every leaf
+    is filled from the archive, whose exact names and shapes the checks
+    ensure. No generator is built, so ``numpy.random`` is never imported.
     """
     stored = load_tensors(path)
     # a pearson graph needs training data to build, so a zero adjacency
     # stands in for it; it is overwritten like every parameter
     model = ExoModel(config, static_adjacency=np.zeros((config.n_nodes,) * 2)
-                     if config.graph_kind == "pearson" else None)
+                     if config.graph_kind == "pearson" else None, draw=False)
     params = model.parameters()
     built = {name: t.values for name, t in params.items()} | model.buffers()
     missing = set(built) ^ set(stored)

@@ -48,7 +48,7 @@ class ExpertBank(Params):
         return out
 
 
-def init_cond_embed(f_in: int, f_exo: int, hidden: int, rng: np.random.Generator,
+def init_cond_embed(f_in: int, f_exo: int, hidden: int, rng: Optional[np.random.Generator],
                     activation: str = "relu", keep_prob: float = 0.9) -> CondEmbedParams:
     if activation not in ad.ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -61,7 +61,8 @@ def init_cond_embed(f_in: int, f_exo: int, hidden: int, rng: np.random.Generator
     )
 
 
-def init_expert_bank(hidden: int, n_experts: int, rng: np.random.Generator) -> ExpertBank:
+def init_expert_bank(hidden: int, n_experts: int,
+                     rng: Optional[np.random.Generator]) -> ExpertBank:
     if n_experts < 1:
         raise ValueError("at least one expert required")
     return ExpertBank(

@@ -464,13 +464,27 @@ class TestFusedGruGcn:
         assert 4 * block + out <= kept <= 4 * block + out + block // 8, kept
 
     def test_untaped_predict_peaks_no_higher_than_composition(self, monkeypatch):
+        """Each ``backbone_forward`` call of an untaped ``predict`` peaks no
+        higher fused than composed. The calls are measured alone, so the
+        select stage, which both share, does not count."""
         cfg, series, inputs = _model_case("context", "pearson", 12, 12, 16,
                                           hidden=16, keep_prob=1.0)
         model = ExoModel(cfg, target_series=series)
+        calls, forward = [], model_module.backbone_forward
+
+        def recording(*args):
+            calls.append(args)
+            return forward(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "backbone_forward", recording)
+            model.predict(*inputs)
+        assert len(calls) == 2 and ad._active_tape() is None
         peaks = {}
         for name in ("fused", "composed"):
             with monkeypatch.context() as m:
                 if name == "composed":
                     m.setattr(backbones, "grugcn_forward", composed_grugcn_forward)
-                peaks[name] = traced_peak(lambda: model.predict(*inputs))[1]
-        assert peaks["fused"] <= peaks["composed"], peaks
+                peaks[name] = [traced_peak(lambda: backbones.backbone_forward(*args))[1]
+                               for args in calls]
+        assert all(f <= c for f, c in zip(peaks["fused"], peaks["composed"])), peaks

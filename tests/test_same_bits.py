@@ -7,6 +7,13 @@ command's stdout must equal the committed ``same_bits_manifest.json``.
 
 The bits depend on Python, numpy and the BLAS build and core type, so the
 manifest records that stamp; on another stamp the test fails and names both.
+The CLI runs at tiny shapes, where a fused node's rows fit in one
+``BLOCK`` chunk and a ``predict`` in one slice. So the manifest also holds,
+under ``paper_shape``, the digests of one seeded training step per backbone
+at the paper shape (N = 24, T = 24 -> 24, H = 64, K = 4, batch 8), whose
+rows span several chunks, and of a 2-worker ``predict`` of 13 windows, five
+3-window slices; both are checked under 1 and 2 BLAS threads.
+
 A change that alters bits on purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_same_bits.py
@@ -28,7 +35,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exoforecast import autodiff as ad
 from exoforecast import model as model_module
+from exoforecast import training
 from exoforecast.cli import main
 
 MANIFEST = Path(__file__).with_name("same_bits_manifest.json")
@@ -94,6 +103,42 @@ def digests() -> dict[str, str]:
     return out
 
 
+def _sha(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def paper_shape_digests() -> dict[str, str]:
+    """For each backbone at the paper shape: the digests of one seeded
+    training step's loss, of every grad and every updated parameter, and
+    of a 2-worker ``predict`` of 13 windows by the updated model."""
+    rng = np.random.default_rng(7)
+    n, t, batch = 24, 24, 8
+    series = rng.normal(size=(n, 96))
+    x, e_p, e_f, y = (rng.normal(size=(13, n, t, f)) for f in (1, 5, 5, 1))
+    out = {}
+    for backbone in ("grugcn", "mlp-mixer"):
+        model = model_module.ExoModel(model_module.ModelConfig(
+            n_nodes=n, past_exo_dim=5, future_exo_dim=5, t_past=t, t_future=t,
+            hidden=64, experts=4, backbone=backbone, seed=1), target_series=series)
+        params = model.parameters()
+        with ad.Tape() as tape:
+            pred, _ = model.forward(x[:batch], e_p[:batch], e_f[:batch],
+                                    rng=np.random.default_rng(2))
+            loss = training._loss_tensor(pred, y[:batch], "mae")
+        tape.backward(loss)
+        training.adamw_step(params, training.AdamWState(), 1e-2, weight_decay=1e-4)
+        out[f"{backbone} loss"] = _sha(loss.values)
+        out |= {f"{backbone} grad {name}": _sha(p.grad) for name, p in params.items()}
+        out |= {f"{backbone} step {name}": _sha(p.values) for name, p in params.items()}
+        workers = model_module.PREDICT_WORKERS
+        model_module.PREDICT_WORKERS = 2
+        try:
+            out[f"{backbone} predict"] = _sha(model.predict(x, e_p, e_f))
+        finally:
+            model_module.PREDICT_WORKERS = workers
+    return out
+
+
 def test_outputs_match_the_manifest(tmp_path, monkeypatch):
     manifest = json.loads(MANIFEST.read_text())
     here = stamp()
@@ -106,6 +151,24 @@ def test_outputs_match_the_manifest(tmp_path, monkeypatch):
     assert (changed, sorted(got.keys() - want.keys()),
             sorted(want.keys() - got.keys())) == ([], [], []), \
         "(changed, new, missing) entries against the manifest"
+
+
+@pytest.mark.skipif(model_module._BLAS_THREADS is None,
+                    reason="numpy's OpenBLAS thread control is unreachable")
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_paper_shape_matches_the_manifest(blas_threads):
+    manifest = json.loads(MANIFEST.read_text())
+    assert manifest["stamp"] == stamp(), "the manifest's digests hold only for its own stamp"
+    get_threads, set_threads = model_module._BLAS_THREADS
+    before = get_threads()
+    set_threads(blas_threads)
+    try:
+        got = paper_shape_digests()
+    finally:
+        set_threads(before)
+    want = manifest["paper_shape"]
+    assert sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k)) == [], \
+        "paper-shape entries that differ from the manifest"
 
 
 def test_predict_uses_every_core():
@@ -126,8 +189,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            result = {"stamp": stamp(), "digests": digests()}
+            result = {"stamp": stamp(), "digests": digests(),
+                      "paper_shape": paper_shape_digests()}
         finally:
             os.chdir(home)
     MANIFEST.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {MANIFEST} ({len(result['digests'])} entries)")
+    print(f"wrote {MANIFEST} ({len(result['digests'])} + "
+          f"{len(result['paper_shape'])} entries)")
