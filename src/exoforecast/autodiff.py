@@ -33,8 +33,8 @@ Memory contract:
   elements (128 KiB), in the forward and in the VJP, so beyond their
   inputs, output and input grads they allocate a few chunk-sized
   transients at a time. Unrecorded (``predict``, ``eval``, validation),
-  they keep nothing; the threads ``predict`` starts never record, since
-  the active tape is per thread, and each thread forwarding a chunk, the
+  they keep nothing; the children ``predict`` forks clear the tape they
+  inherit and never record, and each process forwarding a chunk, the
   calling one included, holds that chunk's transients alone.
 - ``gru_gcn_sequence`` keeps nothing per step when no tape records it.
   Recorded, it keeps the state h and the gates z, r and candidate c of
@@ -58,6 +58,12 @@ _STATE = threading.local()
 
 def _active_tape() -> Optional["Tape"]:
     return getattr(_STATE, "tape", None)
+
+
+def clear_tape() -> None:
+    """Record nothing more on this thread, such as in a forked child whose
+    inherited tape belongs to its parent."""
+    _STATE.tape = None
 
 
 class Tensor:
@@ -327,15 +333,19 @@ def _leaky_relu_rule(v: np.ndarray, slope: float = 0.01):
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: only ``exp(-|v|)`` is taken.
+    """Logistic function that never overflows: ``exp`` only meets
+    ``-|v|`` and ``min(v, 0)``.
 
-    ``1 / (1 + e)`` where ``v >= 0`` and ``e / (1 + e)`` elsewhere, each
-    branch evaluated as in the textbook masked form, so the bits match it
-    on every finite input.
+    ``exp(min(v, 0)) / (1 + exp(-|v|))`` is ``1 / (1 + e)`` where
+    ``v >= 0`` and ``e / (1 + e)`` elsewhere, ``e = exp(-|v|)``: each
+    branch of the textbook masked form, so the bits match it on every
+    finite input, with no mask and no third pass to select.
     """
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0.0, 1.0 / d, e / d)
+    d = np.exp(-np.abs(v))
+    d += 1.0
+    out = np.exp(np.minimum(v, 0.0))
+    out /= d
+    return out
 
 
 def _sigmoid_rule(v: np.ndarray):

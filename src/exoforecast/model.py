@@ -10,7 +10,9 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import pickle
 import struct
+import threading
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional, get_type_hints
 
@@ -40,8 +42,8 @@ from .selector import (
 )
 
 ARCHIVE_MAGIC = b"EXOF0001"
-# N * T * H elements that predict's threads together may span: 3 windows per
-# thread at the paper shape (N = T = 24, H = 64) with 2 threads
+# N * T * H elements that predict's workers together may span: 3 windows per
+# worker at the paper shape (N = T = 24, H = 64) with 2 workers
 PREDICT_CHUNK = 2 ** 18
 
 
@@ -60,9 +62,58 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
-# threads ``predict`` forwards its chunks on, the calling one included: one
-# per core, or 1 (serial) where BLAS cannot be held to one thread while they run
-PREDICT_WORKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS else 1
+# processes ``predict`` forwards its chunks on, the calling one included: one
+# per core, or 1 (serial) where BLAS cannot be held to one thread while they
+# run or the platform cannot fork
+PREDICT_WORKERS = (len(os.sched_getaffinity(0))
+                   if _BLAS_THREADS and hasattr(os, "fork") else 1)
+
+
+def _send_forecasts(forecast, block, fd: int, unused: tuple[int, ...]) -> None:
+    """In a forked child: close the inherited pipe ends ``unused``, call
+    ``forecast`` on each slice start in ``block``, send the joined forecasts
+    or the exception down pipe ``fd`` as one pickle, and leave with
+    ``os._exit``, whatever is raised. An exception the parent could not
+    rebuild is sent as a ``RuntimeError`` naming its type."""
+    status = 1
+    try:
+        for end in unused:  # so a parent that closes its read end ends a blocked write
+            os.close(end)
+        ad.clear_tape()  # the inherited tape belongs to the parent
+        try:
+            data = pickle.dumps((True, np.concatenate([forecast(lo) for lo in block])),
+                                pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_forecasts(pid: int, fd: int) -> np.ndarray:
+    """The forecasts child ``pid`` sent down pipe ``fd``, once it has been
+    reaped; its exception is raised, and a child that died sending nothing
+    raises one line naming it."""
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:  # a child whose pipe is closed cannot block, so this returns
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        import signal  # ~1 ms; only a failed child needs its names
+        raise RuntimeError(f"predict worker {pid} was ended by {signal.Signals(-code).name}")
+    if code or not data:
+        raise RuntimeError(f"predict worker {pid} exited with status {code} and sent no forecasts")
+    ok, sent = pickle.loads(data)
+    if not ok:
+        raise sent
+    return sent
 
 
 @dataclass
@@ -263,20 +314,25 @@ class ExoModel:
         A batched (B, N, T, F) input runs through ``forward`` in consecutive
         slices of at most ``max(1, PREDICT_CHUNK // (N * T * H * W))``
         windows, T the longer of the past and future lengths and W
-        ``PREDICT_WORKERS``. With more than one slice, the calling thread
-        and W - 1 started threads take slices in turn and forward them at
-        once, OpenBLAS held to one thread meanwhile, so together they span
-        at most ``PREDICT_CHUNK`` elements: 3 windows per thread at
-        N = T = 24, H = 64 and W = 2, where one window's (N, T, H)
-        activation takes 288 KiB. The slices are joined in window order;
-        an exception from any of them comes out of ``predict`` after every
-        started thread has ended. No eval-mode forecast depends on the
-        other windows of its batch or draws a random number, and a started
-        thread has no active tape, so the result equals one whole-batch
-        forward bit for bit.
+        ``PREDICT_WORKERS``, or 1 while another Python thread is alive,
+        since forking a threaded process can deadlock. With more than one
+        slice and W > 1, the slices are split into W contiguous blocks.
+        OpenBLAS is held to one thread, and the caller forks one child per
+        later block, then forecasts the first block itself. So the workers
+        together span at most ``PREDICT_CHUNK`` elements: 3 windows per
+        worker at N = T = 24, H = 64 and W = 2, where one window's
+        (N, T, H) activation takes 288 KiB. Each child sends its forecasts,
+        or its exception, back over a pipe and exits; the caller reads
+        every pipe, reaps every child and restores BLAS whatever happens,
+        then joins the slices in window order. An exception from any block
+        comes out of ``predict`` with its type and message, and a child
+        that dies sending nothing raises one line naming its pid. No
+        eval-mode forecast depends on the other windows of its batch or
+        draws a random number, and a child records on no tape, so the
+        result equals one whole-batch forward bit for bit.
         """
         n, t = np.shape(x)[-3], max(np.shape(x)[-2], np.shape(e_future)[-2])
-        workers = PREDICT_WORKERS
+        workers = PREDICT_WORKERS if threading.active_count() == 1 else 1
         chunk = max(1, PREDICT_CHUNK // (n * t * self.config.hidden * workers))
         if np.ndim(x) < 4 or len(x) <= chunk:
             return self.forward(x, e_past, e_future)[0].values
@@ -288,30 +344,35 @@ class ExoModel:
         starts = range(0, len(x), chunk)
         if workers == 1:
             return np.concatenate([forecast(lo) for lo in starts])
-        from concurrent.futures import ThreadPoolExecutor  # ~7 ms; only threaded calls import it
-
-        out = [None] * len(starts)
-        pending = enumerate(starts)  # shared: each next() hands out one slice
-
-        def take_turns() -> None:
-            try:
-                for i, lo in pending:
-                    out[i] = forecast(lo)
-            except BaseException:
-                for _ in pending:  # leave the other threads no more slices
-                    pass
-                raise
-
+        cuts = [len(starts) * i // workers for i in range(workers + 1)]
+        blocks = [starts[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
         get_threads, set_threads = _BLAS_THREADS
         blas_threads = get_threads()
         set_threads(1)
+        children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in block order
         try:
-            with ThreadPoolExecutor(workers - 1) as pool:
-                started = [pool.submit(take_turns) for _ in range(workers - 1)]
-                take_turns()
-                for future in started:
-                    future.result()
+            for block in blocks[1:]:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    _send_forecasts(forecast, block, write, (read, *(fd for _, fd in children)))
+                os.close(write)
+                children.append((pid, read))
+            out = [forecast(lo) for lo in blocks[0]]
+            while children:
+                out.append(_receive_forecasts(*children.pop(0)))
         finally:
+            if children:  # left only when something raised
+                import signal
+            for pid, read in children:
+                os.kill(pid, signal.SIGKILL)
+                os.close(read)
+                os.waitpid(pid, 0)
             set_threads(blas_threads)
         return np.concatenate(out)
 

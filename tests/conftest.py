@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from exoforecast.cli import main
+from helpers import CallLog
 
 
 @pytest.fixture(scope="module")
@@ -13,3 +16,11 @@ def data(tmp_path_factory):
                  "--seed", "5"]) == 0
     return ["--data", str(out / "panel.csv"),
             "--schema", str(out / "panel.schema.json")]
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    """A ``CallLog`` in this test's directory, closed after the test."""
+    log = CallLog(tmp_path / "calls.log")
+    yield log
+    os.close(log.fd)

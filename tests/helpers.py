@@ -2,6 +2,7 @@
 module that tests what they check."""
 
 import math
+import os
 import tracemalloc
 
 
@@ -43,3 +44,35 @@ def retained_bytes(fn) -> int:
     finally:
         tracemalloc.stop()
     return after - before
+
+
+class CallLog:
+    """Rows of integers that calls append from this process or from any
+    child it forks: each row is one ``write`` to a file opened with
+    ``O_APPEND``, which children inherit, so no child's row is lost or torn."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o600)
+
+    def write(self, *fields: int) -> None:
+        os.write(self.fd, (" ".join(map(str, fields)) + "\n").encode())
+
+    def rows(self) -> list[tuple[int, ...]]:
+        with open(self.path) as fh:
+            return [tuple(map(int, line.split())) for line in fh]
+
+    def take(self) -> list[tuple[int, ...]]:
+        """The rows written so far, which the log then forgets."""
+        rows = self.rows()
+        os.ftruncate(self.fd, 0)
+        return rows
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

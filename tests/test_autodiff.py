@@ -468,8 +468,12 @@ def _masked_sigmoid(v):
     return out
 
 
+_TINY = 2.2250738585072014e-308  # the least normal float64
 _LOGIT = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(-40.0, 40.0),  # where both branches carry every bit
+    st.floats(-_TINY, _TINY),  # subnormals and the two zeros
+    st.floats(710.0, 1.7e308).flatmap(lambda f: st.sampled_from([f, -f])),  # exp(|v|) overflows
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0,
                      36.7, -36.7, 1e-300, -1e-300]))
 
@@ -480,8 +484,22 @@ _LOGIT = st.one_of(
 def test_sigmoid_equals_masked_form_bit_for_bit(v):
     with np.errstate(over="ignore"):
         want = _masked_sigmoid(v)
+    kept = v.copy()
     assert ad._sigmoid(v).tobytes() == want.tobytes()
+    assert v.tobytes() == kept.tobytes()  # computed in place, but never in its input
     assert ad.sigmoid(Tensor(v)).values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, (4, 6), elements=_LOGIT), st.integers(0, 3))
+def test_sigmoid_of_views_and_scalars_equals_masked_form(v, row):
+    """Strided views and 0-d inputs give the masked form's bits too."""
+    with np.errstate(over="ignore"):
+        want = _masked_sigmoid(v)
+    assert ad._sigmoid(v[:, ::2]).tobytes() == want[:, ::2].tobytes()
+    assert ad._sigmoid(v.T).tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert np.float64(ad._sigmoid(v[row, 0])).tobytes() == want[row, 0].tobytes()
+    assert np.float64(ad._sigmoid(v[row, :1].reshape(()))).tobytes() == want[row, 0].tobytes()
 
 
 def test_listed_contributions_match_separate_nodes():

@@ -1,9 +1,13 @@
 """Tests for the assembled forecasting model."""
 
+import contextlib
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.fusion import FUSION_STRATEGIES
 from exoforecast.model import ExoModel, ModelConfig, load_model, load_tensors, save_model, save_tensors
-from helpers import sigmoid, traced_peak
+from helpers import no_child_left, sigmoid, traced_peak
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -348,18 +354,20 @@ def _counting_forward(monkeypatch, model):
     return sizes
 
 
-def _chunk_offsets(monkeypatch, model, x):
-    """Record the (window offset into ``x``, batch size) of every
-    ``model.forward`` call; worker threads make them in no fixed order."""
-    chunks = []
+def _chunk_offsets(monkeypatch, model, x, log, fail=lambda lo: None):
+    """Append to ``log`` the (window offset into ``x``, batch size, pid,
+    BLAS threads) of every ``model.forward`` call, in whichever process
+    makes it, then call ``fail(offset)``, which may raise or end that
+    process; forked workers make the calls in no fixed order."""
     forward = model.forward
 
     def counted(xs, *args, **kwargs):
-        chunks.append(((xs.ctypes.data - x.ctypes.data) // x.strides[0], len(xs)))
+        lo = (xs.ctypes.data - x.ctypes.data) // x.strides[0]
+        log.write(lo, len(xs), os.getpid(), model_module._BLAS_THREADS[0]())
+        fail(lo)
         return forward(xs, *args, **kwargs)
 
     monkeypatch.setattr(model, "forward", counted)
-    return chunks
 
 
 needs_blas_control = pytest.mark.skipif(
@@ -398,15 +406,16 @@ class TestChunkedPredict:
         assert sizes == [7, 7, 1]
 
     @needs_blas_control
-    def test_paper_shape_chunk_is_three_per_worker(self, monkeypatch):
+    def test_paper_shape_chunk_is_three_per_worker(self, monkeypatch, call_log):
         cfg = tiny_config(n_nodes=24, past_exo_dim=12, future_exo_dim=12, t_past=24,
                           t_future=24, hidden=64, experts=4, backbone="mlp-mixer")
         model = ExoModel(cfg)
         monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
         inputs = tiny_inputs(cfg, batch=15)
-        chunks = _chunk_offsets(monkeypatch, model, inputs[0])
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log)
         model.predict(*inputs)
-        assert sorted(chunks) == [(0, 3), (3, 3), (6, 3), (9, 3), (12, 3)]
+        assert sorted(row[:2] for row in call_log.rows()) == \
+            [(0, 3), (3, 3), (6, 3), (9, 3), (12, 3)]
 
     def test_chunk_bound_reads_the_longer_window(self, monkeypatch):
         cfg = tiny_config(t_past=3, t_future=6)
@@ -433,14 +442,47 @@ class TestChunkedPredict:
         assert model.predict(*inputs).tobytes() == whole.tobytes()
 
 
+@contextlib.contextmanager
+def _guarded(blas_threads: int, seconds: int = 60):
+    """BLAS at ``blas_threads`` for a ``with`` block, which must end within
+    ``seconds``, leave BLAS there and leave no child process."""
+    get_threads, set_threads = model_module._BLAS_THREADS
+
+    def expire(signum, frame):
+        raise TimeoutError(f"predict ran over {seconds} s")
+
+    before, on_alarm = get_threads(), signal.signal(signal.SIGALRM, expire)
+    set_threads(blas_threads)
+    signal.alarm(seconds)  # a forked child starts with no alarm of its own
+    try:
+        yield
+        assert get_threads() == blas_threads and no_child_left()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, on_alarm)
+        set_threads(before)
+
+
+class WindowError(ValueError):
+    """An exception that ``pickle`` rebuilds from its one argument."""
+
+
+class TwoPartError(Exception):
+    """An exception that ``pickle`` cannot rebuild: it takes two arguments."""
+
+    def __init__(self, window, why):
+        super().__init__(f"window {window}: {why}")
+
+
 @needs_blas_control
 class TestPredictWorkers:
-    """Chunks forecast on worker threads equal the serial ones by bytes,
-    and ``predict`` leaves the BLAS and Python thread counts as it found them."""
+    """Chunks forecast on forked workers equal the serial ones by bytes, and
+    ``predict`` leaves BLAS's thread count and this process's Python threads
+    as it found them, with no child process left."""
 
     @pytest.mark.parametrize("backbone", ["grugcn", "mlp-mixer"])
     @pytest.mark.parametrize("fusion", FUSIONS)
-    def test_two_workers_equal_one_by_bytes(self, monkeypatch, backbone, fusion):
+    def test_two_workers_equal_one_by_bytes(self, monkeypatch, call_log, backbone, fusion):
         cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4, backbone=backbone,
                           graph_kind="pearson", graph_k=1, fusion=fusion, keep_prob=0.8)
         model = ExoModel(cfg, target_series=np.random.default_rng(1).normal(size=(3, 30)))
@@ -450,12 +492,13 @@ class TestPredictWorkers:
         for workers in (1, 2):
             monkeypatch.setattr(model_module, "PREDICT_WORKERS", workers)
             with monkeypatch.context() as m:
-                chunks = _chunk_offsets(m, model, inputs[0])
+                _chunk_offsets(m, model, inputs[0], call_log)
                 got[workers] = model.predict(*inputs)
             # the workers together hold the one worker's 2 windows
-            assert sorted(chunks) == [(lo, min(2 // workers, 11 - lo))
-                                      for lo in range(0, 11, 2 // workers)]
+            assert sorted(row[:2] for row in call_log.take()) == \
+                [(lo, min(2 // workers, 11 - lo)) for lo in range(0, 11, 2 // workers)]
         assert got[2].shape == got[1].shape and got[2].tobytes() == got[1].tobytes()
+        assert no_child_left()
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         """Workers share the model's parameters and its adaptive graph, read only."""
@@ -470,10 +513,11 @@ class TestPredictWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = [model.predict(*inputs) for _ in range(3)]
+            forked = [model.predict(*inputs) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-        assert all(t.tobytes() == serial.tobytes() for t in threaded)
+        assert all(f.tobytes() == serial.tobytes() for f in forked)
+        assert no_child_left()
 
     @staticmethod
     def _one_window_chunks(monkeypatch, workers, batch):
@@ -482,73 +526,188 @@ class TestPredictWorkers:
         monkeypatch.setattr(model_module, "PREDICT_CHUNK", workers * 3 * 4 * 4)
         return ExoModel(cfg), tiny_inputs(cfg, seed=4, batch=batch)
 
-    def test_calling_thread_forwards_its_share(self, monkeypatch):
-        """The caller and ``W - 1`` started threads, no more, take windows in turn."""
+    def test_calling_thread_forwards_its_share(self, monkeypatch, call_log):
+        """The caller forwards the first of W contiguous blocks of windows,
+        and W - 1 forked children, no more, one later block each."""
         model, inputs = self._one_window_chunks(monkeypatch, 3, 9)
         serial = model.forward(*inputs)[0].values
-        forward, idents, alive = model.forward, [], []
-
-        def forward_recording_thread(*args, **kwargs):
-            idents.append(threading.get_ident())
-            alive.append(threading.active_count())
-            time.sleep(0.01)  # free the GIL, so every thread gets a turn
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(model, "forward", forward_recording_thread)
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log)
         threads = threading.active_count()
         got = model.predict(*inputs)
         assert got.tobytes() == serial.tobytes()
-        assert len(idents) == 9 and threading.get_ident() in idents
-        assert len(set(idents)) == 3 and max(alive) == threads + 2
-        assert threading.active_count() == threads
+        rows = sorted(call_log.rows())
+        assert [row[:2] for row in rows] == [(lo, 1) for lo in range(9)]
+        pids = [pid for _, _, pid, _ in rows]
+        assert pids[:3] == [os.getpid()] * 3
+        assert pids[3:6] == [pids[3]] * 3 and pids[6:] == [pids[6]] * 3
+        assert len(set(pids)) == 3
+        assert threading.active_count() == threads and no_child_left()
 
-    def test_callers_own_chunk_raises(self, monkeypatch):
-        model, inputs = self._one_window_chunks(monkeypatch, 2, 6)
-        get_threads, set_threads = model_module._BLAS_THREADS
-        forward, caller, seen = model.forward, threading.get_ident(), []
+    def test_no_child_records_on_the_callers_tape(self, monkeypatch, call_log):
+        """Under an open tape the caller's block records as ``forward`` does,
+        and each child clears the tape it inherits."""
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 4)
+        forward = model.forward
 
-        def forward_failing_on_the_caller(*args, **kwargs):
-            seen.append(get_threads())
-            if threading.get_ident() == caller:
-                raise FloatingPointError("the caller's window")
-            time.sleep(0.01)
+        def logged(*args, **kwargs):
+            call_log.write(os.getpid(), int(ad._active_tape() is not None))
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(model, "forward", forward_failing_on_the_caller)
-        threads, blas_threads = threading.active_count(), get_threads()
-        set_threads(2)
-        try:
+        monkeypatch.setattr(model, "forward", logged)
+        with ad.Tape() as tape:
+            model.predict(*inputs)
+        rows = call_log.rows()
+        assert [taped for pid, taped in rows if pid == os.getpid()] == [1, 1] and tape.nodes
+        assert [taped for pid, taped in rows if pid != os.getpid()] == [0, 0]
+
+    def test_callers_own_chunk_raises(self, monkeypatch, call_log):
+        """The caller's exception comes out of ``predict`` after every child
+        has been reaped; each worker held BLAS at one thread."""
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 6)
+
+        def fail_on_the_caller(lo):
+            if os.getpid() == caller:
+                raise FloatingPointError("the caller's window")
+
+        caller = os.getpid()
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log, fail_on_the_caller)
+        with _guarded(2):
             with pytest.raises(FloatingPointError, match="^the caller's window$"):
                 model.predict(*inputs)
-            assert get_threads() == 2 and set(seen) == {1} and len(seen) < 6
-        finally:
-            set_threads(blas_threads)
-        assert threading.active_count() == threads
+        rows = call_log.rows()
+        assert {blas for _, _, _, blas in rows} == {1}
+        assert [pid for _, _, pid, _ in rows].count(caller) == 1
 
-    def test_blas_and_python_threads_come_back(self, monkeypatch):
-        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4)
-        model = ExoModel(cfg)
-        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
-        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 3 * 4 * 4)  # one window
-        get_threads, set_threads = model_module._BLAS_THREADS
-        inputs = tiny_inputs(cfg, batch=5)
-        forward, seen = model.forward, []
+    def test_blas_and_python_threads_come_back(self, monkeypatch, call_log):
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 5)
 
-        def forward_recording_blas(x, *args, **kwargs):
-            seen.append(get_threads())
-            if x[0, 0, 0, 0] == inputs[0][3, 0, 0, 0]:
+        def fail_on_window_3(lo):
+            if lo == 3:
                 raise FloatingPointError("window 3")
-            return forward(x, *args, **kwargs)
 
-        monkeypatch.setattr(model, "forward", forward_recording_blas)
-        threads, blas_threads = threading.active_count(), get_threads()
-        set_threads(2)
-        try:
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log, fail_on_window_3)
+        threads = threading.active_count()
+        with _guarded(2):
             model.predict(*(a[:3] for a in inputs))
-            assert get_threads() == 2 and seen == [1, 1, 1]
+        assert [blas for _, _, _, blas in call_log.take()] == [1, 1, 1]
+        with _guarded(2):
             with pytest.raises(FloatingPointError, match="^window 3$"):
                 model.predict(*inputs)
-            assert get_threads() == 2
-        finally:
-            set_threads(blas_threads)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("error, raised, message", [
+        (WindowError("window 4 of 6"), WindowError, "^window 4 of 6$"),
+        (TwoPartError(4, "no data"), RuntimeError, "^TwoPartError: window 4: no data$"),
+    ])
+    def test_childs_exception_keeps_its_type_and_message(self, monkeypatch, call_log,
+                                                          error, raised, message):
+        """A child's exception comes out of ``predict`` as it was raised; one
+        that ``pickle`` cannot rebuild comes back as one ``RuntimeError``
+        line naming its type."""
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 6)
+
+        def fail_on_window_4(lo):
+            if lo == 4:
+                raise error
+
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log, fail_on_window_4)
+        with _guarded(2):
+            with pytest.raises(raised, match=message):
+                model.predict(*inputs)
+        (child,) = [pid for lo, _, pid, _ in call_log.rows() if lo == 4]
+        assert child != os.getpid()
+
+    def test_killed_child_raises_one_line(self, monkeypatch, call_log):
+        """A child killed by ``SIGKILL`` before it sends makes ``predict``
+        raise one line naming its pid and the signal, not hang or return
+        the windows it has."""
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 6)
+
+        def kill_on_window_4(lo):
+            if lo == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log, kill_on_window_4)
+        with _guarded(2):
+            with pytest.raises(RuntimeError) as raised:
+                model.predict(*inputs)
+        (child,) = [pid for lo, _, pid, _ in call_log.rows() if lo == 4]
+        assert child != os.getpid()
+        assert str(raised.value) == f"predict worker {child} was ended by SIGKILL"
+
+    def test_failed_fork_leaks_no_pipe(self, monkeypatch):
+        model, inputs = self._one_window_chunks(monkeypatch, 2, 6)
+
+        def lowest_free_pair():
+            ends = os.pipe()
+            for end in ends:
+                os.close(end)
+            return ends
+
+        def no_fork():
+            raise BlockingIOError(11, "fork refused")
+
+        free = lowest_free_pair()
+        monkeypatch.setattr(os, "fork", no_fork)
+        with _guarded(2):
+            with pytest.raises(BlockingIOError, match="fork refused"):
+                model.predict(*inputs)
+        assert lowest_free_pair() == free
+
+
+@needs_blas_control
+class TestForkSafety:
+    """A fork cannot hang ``predict``: not after OpenBLAS has started its
+    thread pool, and not while another Python thread is alive."""
+
+    def test_fork_after_blas_started_its_pool(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            from exoforecast import model as model_module
+            from exoforecast.model import ExoModel, ModelConfig
+
+            get_threads, set_threads = model_module._BLAS_THREADS
+            set_threads(2)
+            a = np.ones((1000, 1000))
+            a @ a  # OpenBLAS's pool now has a thread running beside this one
+            cfg = ModelConfig(n_nodes=3, past_exo_dim=1, future_exo_dim=1, t_past=4,
+                              t_future=3, hidden=4, experts=2, mix_hidden=3,
+                              graph_kind="identity", seed=0)
+            model = ExoModel(cfg)
+            rng = np.random.default_rng(0)
+            inputs = [rng.normal(size=(9, 3, t, 1)) for t in (4, 4, 3)]
+            model_module.PREDICT_CHUNK = 2 * 3 * 4 * 4
+            got = {}
+            for workers in (1, 2):
+                model_module.PREDICT_WORKERS = workers
+                got[workers] = model.predict(*inputs)
+            assert got[2].tobytes() == got[1].tobytes() and get_threads() == 2
+            print("same bytes")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "same bytes\n"), done.stderr
+
+    def test_live_thread_keeps_every_chunk_in_the_caller(self, monkeypatch, call_log):
+        cfg = tiny_config(n_nodes=3, t_past=4, t_future=3, hidden=4)
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2 * 3 * 4 * 4)
+        model, inputs = ExoModel(cfg), tiny_inputs(cfg, seed=5, batch=9)
+        serial = model.forward(*inputs)[0].values
+        _chunk_offsets(monkeypatch, model, inputs[0], call_log)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            got = model.predict(*inputs)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert got.tobytes() == serial.tobytes()
+        # one worker's chunk of 2 windows, all of them forwarded here
+        assert sorted(row[:3] for row in call_log.rows()) == \
+            [(lo, min(2, 9 - lo), os.getpid()) for lo in range(0, 9, 2)]
+        assert no_child_left()

@@ -9,7 +9,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from exoforecast.cli import main
 from exoforecast.data import (SynthConfig, VariableRole, load_panel, prepare_splits,
                               save_panel, synth_generate)
 from exoforecast.training import metrics, stack_samples
+from helpers import no_child_left
 from test_model import needs_blas_control
 
 T_PAST, T_FUTURE, NODES, HIDDEN = 6, 4, 3, 4
@@ -159,15 +159,25 @@ def test_eval_forecasts_each_window_day_once(panel_dir, model_dir, tmp_path,
 
 
 @needs_blas_control
-def test_two_workers_forecast_each_window_day_once(model_dir, tmp_path, monkeypatch):
-    """Each chunk is forecast once, and no worker thread outlives ``eval``."""
+def test_two_workers_forecast_each_window_day_once(model_dir, tmp_path, monkeypatch,
+                                                   call_log):
+    """Each chunk is forecast once, in the caller or in a forked child, and
+    no child process outlives ``eval``."""
     monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
-    seen = _count(monkeypatch, model_module.ExoModel, "forward")
-    threads = threading.active_count()
+    forward = model_module.ExoModel.forward
+
+    def logged(self, x, *args, **kwargs):
+        call_log.write(os.getpid(), len(x))
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(model_module.ExoModel, "forward", logged)
     assert main(["eval", "--model-dir", str(model_dir),
                  "--out", str(tmp_path)]) == 0
-    assert len(seen) == 11 + 7 + 3  # one window per chunk on each worker
-    assert threading.active_count() == threads
+    rows = call_log.rows()
+    assert [n for _, n in rows] == [1] * (11 + 7 + 3)  # one window per chunk on each worker
+    # each horizon's forecast forks one child of its own
+    assert os.getpid() in {pid for pid, _ in rows} and len({pid for pid, _ in rows}) == 4
+    assert no_child_left()
 
 
 @needs_blas_control

@@ -12,7 +12,8 @@ The CLI runs at tiny shapes, where a fused node's rows fit in one
 under ``paper_shape``, the digests of one seeded training step per backbone
 at the paper shape (N = 24, T = 24 -> 24, H = 64, K = 4, batch 8), whose
 rows span several chunks, and of a 2-worker ``predict`` of 13 windows, five
-3-window slices; both are checked under 1 and 2 BLAS threads.
+3-window slices, two forecast by the caller and three by a forked child;
+both are checked under 1 and 2 BLAS threads.
 
 A change that alters bits on purpose rewrites the manifest with
 
@@ -172,14 +173,15 @@ def test_paper_shape_matches_the_manifest(blas_threads):
 
 
 def test_predict_uses_every_core():
-    """On the manifest's stamp, numpy's OpenBLAS thread control is reachable,
-    so ``predict`` maps its chunks over one thread per core, not serially."""
+    """On the manifest's stamp, numpy's OpenBLAS thread control and
+    ``os.fork`` are reachable, so ``predict`` forwards its chunks on one
+    process per core, forking all but the caller, not serially."""
     if json.loads(MANIFEST.read_text())["stamp"] != stamp():
         pytest.skip("the manifest's stamp differs from this environment's")
-    assert model_module._BLAS_THREADS is not None and \
+    assert model_module._BLAS_THREADS is not None and hasattr(os, "fork") and \
         model_module.PREDICT_WORKERS == len(os.sched_getaffinity(0)), (
         "predict fell back to one worker: numpy's OpenBLAS thread functions "
-        "scipy_openblas_{get,set}_num_threads64_ were not found")
+        "scipy_openblas_{get,set}_num_threads64_ or os.fork were not found")
 
 
 if __name__ == "__main__":
