@@ -36,6 +36,12 @@ Memory contract:
   they keep nothing; the children ``predict`` forks clear the tape they
   inherit and never record, and each process forwarding a chunk, the
   calling one included, holds that chunk's transients alone.
+- A training step whose future branch runs on a ``model.BranchWorker``'s
+  forked child splits its tape across two processes: the child holds
+  branch f's tape (select stage and backbone) and its activations, and
+  the caller holds branch p's, the fusion's and the loss's, with branch
+  f's forecast as one ``remote`` node. Each sweeps its own; the caller
+  receives only the f leaves' grads.
 - ``gru_gcn_sequence`` keeps nothing per step when no tape records it.
   Recorded, it keeps the state h and the gates z, r and candidate c of
   each step, four (..., N, T, H) blocks in all; its VJP rebuilds
@@ -167,6 +173,8 @@ class Tape:
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self._ref = weakref.ref(self)  # what recorded tensors hold instead of the tape
+        self.replayable = True  # False once a ``remote`` node is recorded
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -178,12 +186,16 @@ class Tape:
         _STATE.tape = None
         return False
 
-    def backward(self, root: Tensor) -> None:
+    def backward(self, root: Tensor, adjoint: Optional[np.ndarray] = None) -> None:
         """Accumulate d(root)/d(leaf) into ``.grad`` of every ``requires_grad`` leaf.
 
-        ``root`` must be scalar-shaped (size 1). Repeated calls without
-        zeroing the grads accumulate, each call adding one full gradient;
-        the tape is only read, so it can be replayed.
+        ``root`` must be scalar-shaped (size 1), unless its ``adjoint`` is
+        given: then the sweep starts from that array of root's shape, as a
+        larger tape's sweep would on reaching ``root`` with that adjoint.
+        Repeated calls without zeroing the grads accumulate, each call
+        adding one full gradient; the tape is only read, so it can be
+        replayed, unless it holds a ``remote`` node: then a second call
+        raises before it touches any grad.
 
         Only leaves get a ``.grad``; the adjoint of an intermediate (a tensor
         recorded on this tape) lives in a local map and is released as soon
@@ -201,11 +213,19 @@ class Tape:
         """
         if root.tape is not self:
             raise ValueError("root was not produced on this tape")
-        if root.values.size != 1:
-            raise ValueError(f"backward root must be scalar-shaped, got {root.shape}")
-        adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
+        if not self.replayable and self._swept:
+            raise RuntimeError("this tape holds a remote node's value, whose backward "
+                               "runs once; the tape cannot be replayed")
+        self._swept = True
+        if adjoint is None:
+            if root.values.size != 1:
+                raise ValueError(f"backward root must be scalar-shaped, got {root.shape}")
+            adjoint = np.ones_like(root.values)
+        elif adjoint.shape != root.shape:
+            raise ValueError(f"adjoint shape {adjoint.shape} differs from root's {root.shape}")
+        adjoints: dict[int, np.ndarray] = {id(root): adjoint}
         for node in reversed(self.nodes):
-            g_out = adjoint.pop(id(node.output), None)
+            g_out = adjoints.pop(id(node.output), None)
             if g_out is None:
                 continue
             for t, gs in zip(node.inputs, node.vjp(g_out)):
@@ -214,7 +234,7 @@ class Tape:
                 key = id(t)
                 for g in gs if type(gs) is list else (gs,):
                     if t._tape is self._ref:
-                        adjoint[key] = adjoint[key] + g if key in adjoint else g
+                        adjoints[key] = adjoints[key] + g if key in adjoints else g
                     elif t.requires_grad:
                         t.grad += g.reshape(t.values.shape)
 
@@ -230,6 +250,21 @@ def _record(op: str, inputs: Sequence[Tensor], out_values: np.ndarray,
     if tape is not None and any(_tracked(t, tape) for t in inputs):
         out._tape = tape._ref
         tape.nodes.append(TapeNode(op, inputs, out, vjp))
+    return out
+
+
+def remote(values: np.ndarray, send: Callable[[np.ndarray], None]) -> Tensor:
+    """A value computed off this tape, such as by a forked child, as one
+    node of the active tape with no inputs: its VJP hands the value's
+    adjoint to ``send``, whose owner runs the rest of that backward, once,
+    so the tape is no longer replayable. Recorded on any active tape, since
+    no input can tell it to."""
+    out = Tensor(values)
+    tape = _active_tape()
+    if tape is not None:
+        out._tape = tape._ref
+        tape.replayable = False
+        tape.nodes.append(TapeNode("remote", (), out, lambda g: send(g) or ()))
     return out
 
 

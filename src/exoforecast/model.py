@@ -39,12 +39,18 @@ from .selector import (
     init_cond_embed,
     init_expert_bank,
     select_stage,
+    skip_select_draws,
 )
 
 ARCHIVE_MAGIC = b"EXOF0001"
 # N * T * H elements that predict's workers together may span: 3 windows per
 # worker at the paper shape (N = T = 24, H = 64) with 2 workers
 PREDICT_CHUNK = 2 ** 18
+# B * N * T * H elements of one branch's activation below which a training
+# forward keeps its future branch in the calling process: on a 2-core box a
+# forked step ran 0.63-1.00x as fast as a serial one at 2**11.6 elements,
+# 0.96-1.67x at 2**13.6 and 1.15-1.77x from 2**14.6 up
+BRANCH_FORK_MIN = 2 ** 15
 
 
 def _openblas_threads():
@@ -69,51 +75,258 @@ PREDICT_WORKERS = (len(os.sched_getaffinity(0))
                    if _BLAS_THREADS and hasattr(os, "fork") else 1)
 
 
-def _send_forecasts(forecast, block, fd: int, unused: tuple[int, ...]) -> None:
-    """In a forked child: close the inherited pipe ends ``unused``, call
-    ``forecast`` on each slice start in ``block``, send the joined forecasts
-    or the exception down pipe ``fd`` as one pickle, and leave with
-    ``os._exit``, whatever is raised. An exception the parent could not
-    rebuild is sent as a ``RuntimeError`` naming its type."""
-    status = 1
-    try:
-        for end in unused:  # so a parent that closes its read end ends a blocked write
-            os.close(end)
-        ad.clear_tape()  # the inherited tape belongs to the parent
+def _workers() -> int:
+    """Processes a forward may run on, the calling one included:
+    ``PREDICT_WORKERS``, or 1 while another Python thread is alive, since
+    forking a threaded process can deadlock."""
+    return PREDICT_WORKERS if threading.active_count() == 1 else 1
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` down pipe ``fd`` as one length-prefixed pickle."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    for part in (struct.pack("<Q", len(data)), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _read_exactly(fd: int, n: int) -> bytearray:
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        read = os.readv(fd, [view[got:]])
+        if not read:
+            raise EOFError("the pipe closed inside a message")
+        got += read
+    return buf
+
+
+def _receive(fd: int):
+    """The next object ``_send`` wrote down pipe ``fd``; ``EOFError`` if
+    the pipe closes first."""
+    (size,) = struct.unpack("<Q", _read_exactly(fd, 8))
+    return pickle.loads(_read_exactly(fd, size))
+
+
+class _Child:
+    """A forked child process and the two pipes between it and its parent.
+
+    The child closes the pipe ends that are not its own and those in
+    ``unused``, clears the tape it inherits, calls ``work(self)`` and sends
+    ``(True, result)``, or ``(False, exception)``, as its last message. It
+    leaves with ``os._exit``, whatever is raised. ``work`` may ``send`` and
+    ``receive`` before that. An exception the parent could not rebuild is
+    sent as a ``RuntimeError`` naming its type.
+
+    In the parent, ``result`` returns the next value the child sent. It
+    raises the child's exception, and a child that ended without sending
+    raises one line naming it as ``name`` and its pid. ``join`` closes the
+    parent's ends and reaps the child; ``kill`` ends it first, unless it
+    has been reaped. Neither blocks: a child whose pipes are closed cannot.
+    """
+
+    def __init__(self, name: str, work, unused: tuple[int, ...] = ()):
+        self.name, self.code = name, None
+        ends: list[int] = []
         try:
-            data = pickle.dumps((True, np.concatenate([forecast(lo) for lo in block])),
-                                pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:
+            ends += os.pipe()  # child -> parent
+            ends += os.pipe()  # parent -> child
+            self.pid = os.fork()
+        except OSError:
+            for end in ends:
+                os.close(end)
+            raise
+        up_read, up_write, down_read, down_write = ends
+        if self.pid == 0:
+            self.fds = (down_read, up_write)
+            self._serve(work, (up_read, down_write, *unused))
+        os.close(up_write)
+        os.close(down_read)
+        self.fds = (up_read, down_write)  # (read, write) ends of this process
+
+    def _serve(self, work, unused: tuple[int, ...]) -> None:
+        status = 1
+        try:
+            for end in unused:  # so a parent that closes its read end ends a blocked write
+                os.close(end)
+            ad.clear_tape()  # the inherited tape belongs to the parent
             try:
-                data = pickle.dumps((False, exc))
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with os.fdopen(fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+                message = (True, work(self))
+            except BaseException as exc:
+                message = (False, exc)
+                try:
+                    pickle.loads(pickle.dumps(message))
+                except Exception:
+                    message = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+            self.send(message)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def send(self, obj) -> None:
+        _send(self.fds[1], obj)
+
+    def receive(self):
+        return _receive(self.fds[0])
+
+    def result(self):
+        try:
+            ok, value = self.receive()
+        except EOFError:
+            code = self.join()
+            if code < 0:
+                import signal  # ~1 ms; only a failed child needs its names
+                raise RuntimeError(
+                    f"{self.name} {self.pid} was ended by {signal.Signals(-code).name}") from None
+            raise RuntimeError(f"{self.name} {self.pid} exited with status {code} "
+                               "before it sent its result") from None
+        if not ok:
+            self.join()
+            raise value
+        return value
+
+    def join(self) -> int:
+        """The child's exit code, or minus the signal that ended it."""
+        if self.code is None:
+            for end in self.fds:
+                os.close(end)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def kill(self) -> None:
+        if self.code is None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            self.join()
 
 
-def _receive_forecasts(pid: int, fd: int) -> np.ndarray:
-    """The forecasts child ``pid`` sent down pipe ``fd``, once it has been
-    reaped; its exception is raised, and a child that died sending nothing
-    raises one line naming it."""
-    try:
-        with os.fdopen(fd, "rb") as pipe:
-            data = pipe.read()
-    finally:  # a child whose pipe is closed cannot block, so this returns
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code < 0:
-        import signal  # ~1 ms; only a failed child needs its names
-        raise RuntimeError(f"predict worker {pid} was ended by {signal.Signals(-code).name}")
-    if code or not data:
-        raise RuntimeError(f"predict worker {pid} exited with status {code} and sent no forecasts")
-    ok, sent = pickle.loads(data)
-    if not ok:
-        raise sent
-    return sent
+def _serve_future(child: _Child, model: "ExoModel", rng: np.random.Generator,
+                  leaves: list[Tensor]) -> None:
+    """In the forked child of a ``BranchWorker``: run the future branch of
+    one training step per request until the parent closes the pipe.
+
+    A request is (x, the past input's shape, e_future, rng state, values),
+    where ``values`` maps indices into ``leaves`` to their current values.
+    The child runs ``ExoModel._future_branch`` on a tape of its own from
+    that state and sends its forecast and the state the rng is left in. It
+    then receives the forecast's adjoint, sweeps its tape from it and
+    sends the grads this sweep added to the leaves the branch read, by
+    index."""
+    while True:
+        try:
+            x, past_shape, e_future, state, values = child.receive()
+        except EOFError:
+            return
+        for i, value in values.items():
+            leaves[i].values = value
+        rng.bit_generator.state = state
+        with ad.Tape() as tape:
+            out = model._future_branch(x, past_shape, e_future, rng)
+        child.send((True, (out.values, rng.bit_generator.state)))
+        adjoint = child.receive()
+        read = {id(t) for node in tape.nodes for t in node.inputs}
+        index = [i for i, t in enumerate(leaves) if id(t) in read]
+        for i in index:
+            leaves[i].zero_grad()
+        tape.backward(out, adjoint)
+        child.send((True, {i: leaves[i].grad for i in index}))
+        del tape, out  # no activations are held between steps
+
+
+class BranchWorker:
+    """Runs the future branch of training steps on one forked child; see
+    ``ExoModel.forward``.
+
+    Open it around the steps that may use it, as ``train`` does, and end
+    each step with ``collect``, as ``train_step`` does. The child is forked,
+    with OpenBLAS held at one thread, at the first step that runs its
+    branch there, and serves every later one: each later request carries
+    the values of the leaves its branch read, so it computes with the
+    caller's parameters. Forking once per run, not per step, keeps the
+    pages both processes write private after the first step, so no step
+    pays for copy-on-write faults.
+
+    A step's ``future`` is one node on the caller's tape, whose VJP sends
+    its adjoint to the child without waiting, once: a second sweep raises.
+    ``collect`` adds the grads the child sent to the leaves' ``.grad``, or,
+    after a step that was never swept (a non-finite loss), ends the child.
+    However the scope is left, a child still running is killed and reaped,
+    and BLAS gets its thread count back.
+    """
+
+    def __init__(self):
+        self._child: Optional[_Child] = None
+        self._blas: Optional[int] = None
+        self._rng: Optional[np.random.Generator] = None
+        self._leaves: list[Tensor] = []
+        self._read: list[int] = []  # the leaves the child's branch read, by index
+        self._step = 0  # steps started
+        self._pending = self._swept = False
+
+    def __enter__(self) -> "BranchWorker":
+        return self
+
+    def start(self, model: "ExoModel", x: Tensor, past_shape: tuple, e_future: Tensor,
+              rng: np.random.Generator) -> None:
+        """Have the child run ``model``'s future branch of this step from
+        the state ``rng`` is in before the past select stage draws; see
+        ``ExoModel._future_branch``."""
+        if self._child is None:
+            get_threads, set_threads = _BLAS_THREADS
+            if self._blas is None:
+                self._blas = get_threads()
+            set_threads(1)
+            self._leaves = leaves = list(model.parameters().values())
+            self._child = _Child("future-branch worker",
+                                 lambda child: _serve_future(child, model, rng, leaves))
+            values = {}  # the child was forked with them
+        else:
+            values = {i: self._leaves[i].values for i in self._read}
+        self._child.send((x.values, past_shape, e_future.values, rng.bit_generator.state,
+                          values))
+        self._rng = rng
+        self._step += 1
+        self._pending, self._swept = True, False
+
+    def future(self) -> Tensor:
+        """The branch's forecast; the caller's rng moves on to the state
+        the child left it in."""
+        values, state = self._child.result()
+        self._rng.bit_generator.state = state
+        step = self._step
+        return ad.remote(values, lambda adjoint: self._send_adjoint(step, adjoint))
+
+    def _send_adjoint(self, step: int, adjoint: np.ndarray) -> None:
+        if step != self._step or not self._pending or self._swept:
+            raise RuntimeError("a tape whose future branch ran on a forked worker is "
+                               "swept once, within its step; it cannot be replayed")
+        self._swept = True
+        self._child.send(adjoint)
+
+    def collect(self) -> None:
+        """End this step on the child, if it ran there."""
+        if not self._pending:
+            return
+        self._pending = False
+        if not self._swept:
+            self._child.kill()
+            self._child = None
+            return
+        grads = self._child.result()
+        for i, grad in grads.items():
+            self._leaves[i].grad += grad
+        self._read = sorted(grads)
+
+    def __exit__(self, exc_type, exc, tb):
+        self._pending = False
+        if self._child is not None:
+            self._child.kill()
+            self._child = None
+        if self._blas is not None:
+            _BLAS_THREADS[1](self._blas)
+            self._blas = None
+        return False
 
 
 @dataclass
@@ -196,6 +409,10 @@ class ExoModel:
     with the selector, and fusion parameters only for the strategy that
     needs them (``sum``, the balancer ablation, has none).
 
+    The two branches stay independent until the fusion, so a training
+    forward may run the future one on a forked ``BranchWorker`` child while
+    the caller runs the past one, with every bit unchanged (``forward``).
+
     Its leaves are drawn from a generator seeded with ``config.seed``; with
     ``draw=False`` no generator is built and each is left for
     ``load_model`` to fill.
@@ -274,25 +491,48 @@ class ExoModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x, e_past, e_future, *, rng: Optional[np.random.Generator] = None
-                ) -> tuple[Tensor, Optional[Tensor]]:
+    def forward(self, x, e_past, e_future, *, rng: Optional[np.random.Generator] = None,
+                worker: Optional[BranchWorker] = None) -> tuple[Tensor, Optional[Tensor]]:
         """Run the full pipeline; returns (prediction, alpha or None).
 
         Inputs may be numpy arrays or Tensors shaped (..., N, T, F). A given
         ``rng`` means training: both select stages draw their dropout masks
         from it, past branch first, when ``keep_prob < 1``. Without one the
         forward is the eval-mode map and draws nothing.
+
+        Inside a ``BranchWorker`` scope, with a tape open, an ``rng`` and
+        ``_workers()`` above 1, the future branch (select stage and
+        backbone) runs on a forked child when no tensor is read by both
+        branches: not with ``shared`` or ``attention`` fusion, a tracked
+        graph (the adaptive ones) or tracked inputs, and only when a
+        branch's (B, N, T, H) activation holds at least ``BRANCH_FORK_MIN``
+        elements. The child starts from the rng's state before the past
+        select stage, skips that stage's draws and draws the future mask
+        (``_future_branch``), while the caller runs the past select stage
+        and backbone. It records its own tape and sends back its forecast
+        and the rng's state, which the caller's rng takes. The forecast
+        joins the caller's tape as one node, whose adjoint goes to the
+        child for its backward; see ``BranchWorker``. The branches share no
+        tensor, so every value, grad and draw equals the serial forward's
+        bit for bit.
         """
         cfg = self.config
         x = ad.as_tensor(x)
         e_past = ad.as_tensor(e_past)
         e_future = ad.as_tensor(e_future)
-        x_p = select_stage(x, e_past, self.embed_p, self.bank_p, pad_side="head", rng=rng)
-        x_f = select_stage(x, e_future, self.embed_f, self.bank_f, pad_side="tail", rng=rng)
         adj = self.graph.matrix() if self.graph is not None else None
         backbone_f = self.backbone_p if cfg.fusion == "shared" else self.backbone_f
-        y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
-        y_f, pen_f = backbone_forward(x_f, adj, backbone_f, self.spec)
+        forked = worker is not None and rng is not None and self._forks(x, e_future, adj)
+        if forked:
+            worker.start(self, x, e_past.shape, e_future, rng)
+        x_p = select_stage(x, e_past, self.embed_p, self.bank_p, pad_side="head", rng=rng)
+        if forked:
+            y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
+            y_f, pen_f = worker.future(), None
+        else:
+            x_f = select_stage(x, e_future, self.embed_f, self.bank_f, pad_side="tail", rng=rng)
+            y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
+            y_f, pen_f = backbone_forward(x_f, adj, backbone_f, self.spec)
 
         if cfg.fusion == "sum":
             return ad.add(y_p, y_f), None
@@ -307,6 +547,29 @@ class ExoModel:
         enh_p, enh_f = attention_enhance(pen_p, pen_f, self.attention)
         return fuse_simple(readout_head(enh_p, self.backbone_p.readout),
                            readout_head(enh_f, backbone_f.readout)), None
+
+    def _future_branch(self, x, past_shape: tuple, e_future,
+                       rng: np.random.Generator) -> Tensor:
+        """The future branch's forecast alone, as a ``BranchWorker`` child
+        runs it for ``forward`` from the rng's state before the past select
+        stage: it skips that stage's draws for a past input of
+        ``past_shape``, then runs the select stage and the backbone."""
+        x, e_future = ad.as_tensor(x), ad.as_tensor(e_future)
+        skip_select_draws(x.shape, past_shape, self.embed_p, rng)
+        adj = self.graph.matrix() if self.graph is not None else None
+        x_f = select_stage(x, e_future, self.embed_f, self.bank_f, pad_side="tail", rng=rng)
+        return backbone_forward(x_f, adj, self.backbone_f, self.spec)[0]
+
+    def _forks(self, x: Tensor, e_future: Tensor, adj: Optional[Tensor]) -> bool:
+        """Whether a training forward's future branch runs on a forked child
+        (see ``forward``), given its rng and ``BranchWorker``."""
+        t = max(x.shape[-2], e_future.shape[-2])
+        return (ad._active_tape() is not None and self.config.fusion not in ("shared", "attention")
+                and not any(v is not None and (v.requires_grad or v.tape is not None)
+                            for v in (x, e_future, adj))
+                and x.values.flags.c_contiguous and e_future.values.flags.c_contiguous
+                and math.prod(x.shape[:-2]) * t * self.config.hidden >= BRANCH_FORK_MIN
+                and _workers() > 1)
 
     def predict(self, x, e_past, e_future) -> np.ndarray:
         """Eval-mode forward returning plain values.
@@ -332,47 +595,36 @@ class ExoModel:
         result equals one whole-batch forward bit for bit.
         """
         n, t = np.shape(x)[-3], max(np.shape(x)[-2], np.shape(e_future)[-2])
-        workers = PREDICT_WORKERS if threading.active_count() == 1 else 1
+        workers = _workers()
         chunk = max(1, PREDICT_CHUNK // (n * t * self.config.hidden * workers))
         if np.ndim(x) < 4 or len(x) <= chunk:
             return self.forward(x, e_past, e_future)[0].values
 
-        def forecast(lo: int) -> np.ndarray:
-            return self.forward(x[lo:lo + chunk], e_past[lo:lo + chunk],
-                                e_future[lo:lo + chunk])[0].values
+        def forecast(block) -> np.ndarray:
+            return np.concatenate([self.forward(x[lo:lo + chunk], e_past[lo:lo + chunk],
+                                                e_future[lo:lo + chunk])[0].values
+                                   for lo in block])
 
         starts = range(0, len(x), chunk)
         if workers == 1:
-            return np.concatenate([forecast(lo) for lo in starts])
+            return forecast(starts)
         cuts = [len(starts) * i // workers for i in range(workers + 1)]
         blocks = [starts[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
         get_threads, set_threads = _BLAS_THREADS
         blas_threads = get_threads()
         set_threads(1)
-        children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in block order
+        children: list[_Child] = []  # in block order
         try:
             for block in blocks[1:]:
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read)
-                    os.close(write)
-                    raise
-                if pid == 0:
-                    _send_forecasts(forecast, block, write, (read, *(fd for _, fd in children)))
-                os.close(write)
-                children.append((pid, read))
-            out = [forecast(lo) for lo in blocks[0]]
-            while children:
-                out.append(_receive_forecasts(*children.pop(0)))
+                children.append(_Child("predict worker", lambda _, block=block: forecast(block),
+                                       tuple(end for c in children for end in c.fds)))
+            out = [forecast(blocks[0])]
+            for child in children:
+                out.append(child.result())
+                child.join()
         finally:
-            if children:  # left only when something raised
-                import signal
-            for pid, read in children:
-                os.kill(pid, signal.SIGKILL)
-                os.close(read)
-                os.waitpid(pid, 0)
+            for child in children:
+                child.kill()
             set_threads(blas_threads)
         return np.concatenate(out)
 

@@ -139,3 +139,12 @@ def select_stage(x: Tensor, e: Tensor, embed: CondEmbedParams,
     if bank is None:
         return x_tau
     return moe_select(x_tau, bank, moe_gate(x_tau, bank.gate))
+
+
+def skip_select_draws(x_shape: tuple, e_shape: tuple, embed: CondEmbedParams,
+                      rng: np.random.Generator) -> None:
+    """Advance ``rng`` past the draws a training ``select_stage`` makes on
+    inputs of these shapes: when ``keep_prob < 1``, the one ``rng.random``
+    keep-mask of its output's shape that ``autodiff.cond_embed`` draws."""
+    if embed.keep_prob < 1.0:
+        rng.random(x_shape[:-2] + (max(x_shape[-2], e_shape[-2]), embed.w_x.shape[-1]))

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .data import Scaler, Windows
-from .model import ExoModel
+from .model import BranchWorker, ExoModel
 
 MAPE_GUARD = 1e-8
 LOSSES = ("mae", "mse")  # the training losses ``TrainConfig.loss`` names
@@ -110,7 +110,12 @@ class AdamWState:
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
                betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                weight_decay: float = 0.0) -> None:
-    """One decoupled-weight-decay update from the accumulated gradients."""
+    """One decoupled-weight-decay update from the accumulated gradients.
+
+    ``m``, ``v`` and ``p.values`` are updated in place, in the operation
+    order of ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g``
+    and ``p = p - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * p``,
+    so the bits are those of the expressions."""
     b1, b2 = betas
     state.step += 1
     t = state.step
@@ -120,13 +125,21 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
             raise FloatingPointError(f"non-finite gradient in {name}")
         m = state.m.setdefault(name, np.zeros_like(p.values))
         v = state.v.setdefault(name, np.zeros_like(p.values))
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.values = (p.values
-                    - lr * m_hat / (np.sqrt(v_hat) + eps)
-                    - lr * weight_decay * p.values)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        g2 = (1.0 - b2) * g
+        g2 *= g
+        v += g2
+        step = m / (1.0 - b1 ** t)  # m_hat
+        root = v / (1.0 - b2 ** t)  # v_hat
+        np.sqrt(root, out=root)
+        root += eps
+        step *= lr
+        step /= root
+        decay = p.values * (lr * weight_decay)
+        p.values -= step
+        p.values -= decay
 
 
 class EarlyStopper:
@@ -163,6 +176,28 @@ def _loss_tensor(pred: Tensor, target: np.ndarray, kind: str) -> Tensor:
     return ad.mean(ad.absolute(diff))
 
 
+def train_step(model: ExoModel, batch: tuple, rng: np.random.Generator, loss: str,
+               worker: BranchWorker) -> float:
+    """One training step from zeroed grads; returns its loss.
+
+    ``batch`` is ``stack_samples``' (x, e_past, e_future, y), ``rng`` the
+    training rng and ``loss`` one of ``LOSSES``. The future branch may run
+    on ``worker``'s child (see ``ExoModel.forward``); either way the grads
+    left in ``.grad`` and the rng's next draw are the serial step's bit for
+    bit. A non-finite loss skips the backward, leaving the grads at zero.
+    """
+    x, e_p, e_f, y = batch
+    model.zero_grad()
+    with Tape() as tape:
+        pred, _ = model.forward(x, e_p, e_f, rng=rng, worker=worker)
+        loss_t = _loss_tensor(pred, y, loss)
+    value = float(loss_t.values)
+    if math.isfinite(value):
+        tape.backward(loss_t)
+    worker.collect()
+    return value
+
+
 @dataclass
 class TrainResult:
     history: list = field(default_factory=list)   # per-epoch loss / lr / val MAE
@@ -178,6 +213,10 @@ def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
     Each batch is one index-array gather of ``train_samples``; its loss is on
     normalized targets. Validation MAE is ``evaluate``'s, denormalized, and the
     best-validation parameters are restored on exit. Reproducible bit for bit.
+
+    Each batch is one ``train_step`` with one ``BranchWorker`` for the whole
+    run, so its forked child, if a step forks one, serves every later step
+    and is killed and reaped when training ends, however it ends.
     """
     if not train_samples:
         raise ValueError("no training samples")
@@ -190,39 +229,35 @@ def train(model: ExoModel, train_samples: Windows, val_samples: Windows,
     result = TrainResult()
     best_values: dict[str, np.ndarray] = {k: t.values.copy()
                                           for k, t in params.items()}
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        lr = cosine_lr(epoch, config)
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, n, batch):
-            x, e_p, e_f, y = stack_samples(train_samples[order[lo:lo + batch]])
-            model.zero_grad()
-            with Tape() as tape:
-                pred, _ = model.forward(x, e_p, e_f, rng=rng)
-                loss = _loss_tensor(pred, y, config.loss)
-            loss_val = float(loss.values)
-            if not math.isfinite(loss_val):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch + 1}, batch {n_batches + 1}")
-            tape.backward(loss)
-            adamw_step(params, state, lr, weight_decay=config.weight_decay)
-            epoch_loss += loss_val
-            n_batches += 1
-        val_mae = evaluate(model, val_samples, scaler, target_channel).mae
-        stop = stopper.update(val_mae, epoch)
-        if stopper.best_epoch == epoch:
-            best_values = {k: t.values.copy() for k, t in params.items()}
-        result.history.append({
-            "epoch": epoch + 1,
-            "loss": epoch_loss / max(n_batches, 1),
-            "lr": lr,
-            "val_mae": val_mae,
-        })
-        result.epoch_seconds.append(time.perf_counter() - started)
-        if stop:
-            break
+    with BranchWorker() as worker:
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            lr = cosine_lr(epoch, config)
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            n_batches = 0
+            for lo in range(0, n, batch):
+                loss_val = train_step(model, stack_samples(train_samples[order[lo:lo + batch]]),
+                                      rng, config.loss, worker)
+                if not math.isfinite(loss_val):
+                    raise FloatingPointError(
+                        f"non-finite loss at epoch {epoch + 1}, batch {n_batches + 1}")
+                adamw_step(params, state, lr, weight_decay=config.weight_decay)
+                epoch_loss += loss_val
+                n_batches += 1
+            val_mae = evaluate(model, val_samples, scaler, target_channel).mae
+            stop = stopper.update(val_mae, epoch)
+            if stopper.best_epoch == epoch:
+                best_values = {k: t.values.copy() for k, t in params.items()}
+            result.history.append({
+                "epoch": epoch + 1,
+                "loss": epoch_loss / max(n_batches, 1),
+                "lr": lr,
+                "val_mae": val_mae,
+            })
+            result.epoch_seconds.append(time.perf_counter() - started)
+            if stop:
+                break
     for name, tensor in params.items():
         tensor.values = best_values[name]
     result.best_epoch = (stopper.best_epoch or 0) + 1

@@ -1,9 +1,13 @@
 """Helpers shared by the test modules; the scalar-loop oracles stay in the
 module that tests what they check."""
 
+import contextlib
 import math
 import os
+import signal
 import tracemalloc
+
+from exoforecast import model as model_module
 
 
 def sigmoid(v):
@@ -76,3 +80,24 @@ def no_child_left() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+@contextlib.contextmanager
+def blas_guard(blas_threads: int, seconds: int = 60):
+    """BLAS at ``blas_threads`` for a ``with`` block, which must end within
+    ``seconds``, leave BLAS there and leave no child process."""
+    get_threads, set_threads = model_module._BLAS_THREADS
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the block ran over {seconds} s")
+
+    before, on_alarm = get_threads(), signal.signal(signal.SIGALRM, expire)
+    set_threads(blas_threads)
+    signal.alarm(seconds)  # a forked child starts with no alarm of its own
+    try:
+        yield
+        assert get_threads() == blas_threads and no_child_left()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, on_alarm)
+        set_threads(before)

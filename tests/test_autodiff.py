@@ -207,6 +207,47 @@ def test_backward_rejects_non_scalar_root():
         tape.backward(y)
 
 
+def test_backward_from_an_adjoint_equals_the_larger_tapes_sweep():
+    """Sweeping a tape from ``y`` with ``y``'s adjoint gives the grads a
+    tape that also records the rest of the loss gives, bit for bit."""
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+    with Tape() as tape:
+        y = ad.tanh(ad.matmul(Tensor(x), w))
+        loss = ad.reduce_sum(ad.mul(y, Tensor(c)))
+    tape.backward(loss)
+    whole = w.grad.copy()
+    w.zero_grad()
+    with Tape() as tape:
+        y = ad.tanh(ad.matmul(Tensor(x), w))
+    tape.backward(y, c.copy())
+    assert w.grad.tobytes() == whole.tobytes()
+    with pytest.raises(ValueError, match=r"^adjoint shape \(4,\) differs from root's \(5, 4\)$"):
+        tape.backward(y, np.ones(4))
+
+
+def test_remote_value_hands_its_adjoint_on_once():
+    """A ``remote`` node passes its output's adjoint to its sender and adds
+    nothing to any leaf itself; its tape refuses a second sweep before it
+    touches a grad."""
+    w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    sent = []
+    with Tape() as tape:
+        r = ad.remote(np.array([3.0, 4.0]), sent.append)
+        loss = ad.reduce_sum(ad.mul(ad.mul(r, r), w))
+    assert r.tape is tape and not tape.replayable
+    tape.backward(loss)
+    (g,) = sent
+    np.testing.assert_array_equal(g, [6.0 * 1.5, 8.0 * -2.0])
+    np.testing.assert_array_equal(w.grad, [9.0, 16.0])
+    with pytest.raises(RuntimeError, match="cannot be replayed"):
+        tape.backward(loss)
+    assert len(sent) == 1
+    np.testing.assert_array_equal(w.grad, [9.0, 16.0])
+    assert ad.remote(np.ones(2), sent.append).tape is None  # no active tape
+
+
 def test_backward_rejects_foreign_root():
     x = Tensor(np.ones((1,)), requires_grad=True)
     with Tape() as tape:

@@ -1,6 +1,5 @@
 """Tests for the assembled forecasting model."""
 
-import contextlib
 import os
 import signal
 import subprocess
@@ -17,7 +16,7 @@ from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor, grad_check
 from exoforecast.fusion import FUSION_STRATEGIES
 from exoforecast.model import ExoModel, ModelConfig, load_model, load_tensors, save_model, save_tensors
-from helpers import no_child_left, sigmoid, traced_peak
+from helpers import blas_guard, no_child_left, sigmoid, traced_peak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -442,27 +441,6 @@ class TestChunkedPredict:
         assert model.predict(*inputs).tobytes() == whole.tobytes()
 
 
-@contextlib.contextmanager
-def _guarded(blas_threads: int, seconds: int = 60):
-    """BLAS at ``blas_threads`` for a ``with`` block, which must end within
-    ``seconds``, leave BLAS there and leave no child process."""
-    get_threads, set_threads = model_module._BLAS_THREADS
-
-    def expire(signum, frame):
-        raise TimeoutError(f"predict ran over {seconds} s")
-
-    before, on_alarm = get_threads(), signal.signal(signal.SIGALRM, expire)
-    set_threads(blas_threads)
-    signal.alarm(seconds)  # a forked child starts with no alarm of its own
-    try:
-        yield
-        assert get_threads() == blas_threads and no_child_left()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, on_alarm)
-        set_threads(before)
-
-
 class WindowError(ValueError):
     """An exception that ``pickle`` rebuilds from its one argument."""
 
@@ -571,7 +549,7 @@ class TestPredictWorkers:
 
         caller = os.getpid()
         _chunk_offsets(monkeypatch, model, inputs[0], call_log, fail_on_the_caller)
-        with _guarded(2):
+        with blas_guard(2):
             with pytest.raises(FloatingPointError, match="^the caller's window$"):
                 model.predict(*inputs)
         rows = call_log.rows()
@@ -587,10 +565,10 @@ class TestPredictWorkers:
 
         _chunk_offsets(monkeypatch, model, inputs[0], call_log, fail_on_window_3)
         threads = threading.active_count()
-        with _guarded(2):
+        with blas_guard(2):
             model.predict(*(a[:3] for a in inputs))
         assert [blas for _, _, _, blas in call_log.take()] == [1, 1, 1]
-        with _guarded(2):
+        with blas_guard(2):
             with pytest.raises(FloatingPointError, match="^window 3$"):
                 model.predict(*inputs)
         assert threading.active_count() == threads
@@ -611,7 +589,7 @@ class TestPredictWorkers:
                 raise error
 
         _chunk_offsets(monkeypatch, model, inputs[0], call_log, fail_on_window_4)
-        with _guarded(2):
+        with blas_guard(2):
             with pytest.raises(raised, match=message):
                 model.predict(*inputs)
         (child,) = [pid for lo, _, pid, _ in call_log.rows() if lo == 4]
@@ -628,7 +606,7 @@ class TestPredictWorkers:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         _chunk_offsets(monkeypatch, model, inputs[0], call_log, kill_on_window_4)
-        with _guarded(2):
+        with blas_guard(2):
             with pytest.raises(RuntimeError) as raised:
                 model.predict(*inputs)
         (child,) = [pid for lo, _, pid, _ in call_log.rows() if lo == 4]
@@ -649,7 +627,7 @@ class TestPredictWorkers:
 
         free = lowest_free_pair()
         monkeypatch.setattr(os, "fork", no_fork)
-        with _guarded(2):
+        with blas_guard(2):
             with pytest.raises(BlockingIOError, match="fork refused"):
                 model.predict(*inputs)
         assert lowest_free_pair() == free

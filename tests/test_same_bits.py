@@ -11,9 +11,10 @@ The CLI runs at tiny shapes, where a fused node's rows fit in one
 ``BLOCK`` chunk and a ``predict`` in one slice. So the manifest also holds,
 under ``paper_shape``, the digests of one seeded training step per backbone
 at the paper shape (N = 24, T = 24 -> 24, H = 64, K = 4, batch 8), whose
-rows span several chunks, and of a 2-worker ``predict`` of 13 windows, five
-3-window slices, two forecast by the caller and three by a forked child;
-both are checked under 1 and 2 BLAS threads.
+rows span several chunks and whose future branch runs on a forked child,
+and of a 2-worker ``predict`` of 13 windows, five 3-window slices, two
+forecast by the caller and three by a forked child; both are checked under
+1 and 2 BLAS threads.
 
 A change that alters bits on purpose rewrites the manifest with
 
@@ -110,33 +111,33 @@ def _sha(values) -> str:
 
 def paper_shape_digests() -> dict[str, str]:
     """For each backbone at the paper shape: the digests of one seeded
-    training step's loss, of every grad and every updated parameter, and
-    of a 2-worker ``predict`` of 13 windows by the updated model."""
+    ``training.train_step``'s loss, of every grad and every parameter
+    updated by ``adamw_step``, and of a 2-worker ``predict`` of 13 windows
+    by the updated model. The step runs on 2 workers too, so its future
+    branch runs on a forked child."""
     rng = np.random.default_rng(7)
     n, t, batch = 24, 24, 8
     series = rng.normal(size=(n, 96))
     x, e_p, e_f, y = (rng.normal(size=(13, n, t, f)) for f in (1, 5, 5, 1))
     out = {}
-    for backbone in ("grugcn", "mlp-mixer"):
-        model = model_module.ExoModel(model_module.ModelConfig(
-            n_nodes=n, past_exo_dim=5, future_exo_dim=5, t_past=t, t_future=t,
-            hidden=64, experts=4, backbone=backbone, seed=1), target_series=series)
-        params = model.parameters()
-        with ad.Tape() as tape:
-            pred, _ = model.forward(x[:batch], e_p[:batch], e_f[:batch],
-                                    rng=np.random.default_rng(2))
-            loss = training._loss_tensor(pred, y[:batch], "mae")
-        tape.backward(loss)
-        training.adamw_step(params, training.AdamWState(), 1e-2, weight_decay=1e-4)
-        out[f"{backbone} loss"] = _sha(loss.values)
-        out |= {f"{backbone} grad {name}": _sha(p.grad) for name, p in params.items()}
-        out |= {f"{backbone} step {name}": _sha(p.values) for name, p in params.items()}
-        workers = model_module.PREDICT_WORKERS
-        model_module.PREDICT_WORKERS = 2
-        try:
+    workers = model_module.PREDICT_WORKERS
+    model_module.PREDICT_WORKERS = 2
+    try:
+        for backbone in ("grugcn", "mlp-mixer"):
+            model = model_module.ExoModel(model_module.ModelConfig(
+                n_nodes=n, past_exo_dim=5, future_exo_dim=5, t_past=t, t_future=t,
+                hidden=64, experts=4, backbone=backbone, seed=1), target_series=series)
+            params = model.parameters()
+            with model_module.BranchWorker() as worker:
+                loss = training.train_step(model, tuple(a[:batch] for a in (x, e_p, e_f, y)),
+                                           np.random.default_rng(2), "mae", worker)
+            training.adamw_step(params, training.AdamWState(), 1e-2, weight_decay=1e-4)
+            out[f"{backbone} loss"] = _sha(loss)
+            out |= {f"{backbone} grad {name}": _sha(p.grad) for name, p in params.items()}
+            out |= {f"{backbone} step {name}": _sha(p.values) for name, p in params.items()}
             out[f"{backbone} predict"] = _sha(model.predict(x, e_p, e_f))
-        finally:
-            model_module.PREDICT_WORKERS = workers
+    finally:
+        model_module.PREDICT_WORKERS = workers
     return out
 
 
@@ -157,9 +158,16 @@ def test_outputs_match_the_manifest(tmp_path, monkeypatch):
 @pytest.mark.skipif(model_module._BLAS_THREADS is None,
                     reason="numpy's OpenBLAS thread control is unreachable")
 @pytest.mark.parametrize("blas_threads", [1, 2])
-def test_paper_shape_matches_the_manifest(blas_threads):
+def test_paper_shape_matches_the_manifest(blas_threads, monkeypatch, call_log):
     manifest = json.loads(MANIFEST.read_text())
     assert manifest["stamp"] == stamp(), "the manifest's digests hold only for its own stamp"
+    future_branch = model_module.ExoModel._future_branch
+
+    def logged(self, *args):
+        call_log.write(os.getpid())
+        return future_branch(self, *args)
+
+    monkeypatch.setattr(model_module.ExoModel, "_future_branch", logged)
     get_threads, set_threads = model_module._BLAS_THREADS
     before = get_threads()
     set_threads(blas_threads)
@@ -170,6 +178,9 @@ def test_paper_shape_matches_the_manifest(blas_threads):
     want = manifest["paper_shape"]
     assert sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k)) == [], \
         "paper-shape entries that differ from the manifest"
+    # each backbone's step ran its future branch on a forked child
+    children = [pid for (pid,) in call_log.rows()]
+    assert len(children) == 2 and os.getpid() not in children
 
 
 def test_predict_uses_every_core():

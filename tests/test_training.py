@@ -130,6 +130,26 @@ class TestAdamW:
         expected = theta0 - lr * m_hat / (math.sqrt(v_hat) + eps) - lr * wd * theta0
         np.testing.assert_allclose(t.values, [expected], atol=1e-15)
 
+    def test_updates_in_place_with_the_expressions_bits(self):
+        """``m``, ``v`` and the values are updated in place, and three steps
+        give the bits of the out-of-place expressions."""
+        rng = np.random.default_rng(4)
+        b1, b2, eps, lr, wd = 0.9, 0.999, 1e-8, 3e-2, 1e-2
+        params, t = self._params(rng.normal(size=(6, 5)))
+        values, m, v = t.values.copy(), np.zeros((6, 5)), np.zeros((6, 5))
+        state, arrays = AdamWState(), t.values
+        for step in range(1, 4):
+            g = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-6, 3, size=(6, 5))
+            t.grad[...] = g
+            adamw_step(params, state, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1 ** step), v / (1.0 - b2 ** step)
+            values = values - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * values
+            assert t.values is arrays
+            assert (t.values.tobytes(), state.m["w"].tobytes(), state.v["w"].tobytes()) == \
+                (values.tobytes(), m.tobytes(), v.tobytes())
+
     def test_non_finite_gradient_rejected(self):
         params, t = self._params([1.0])
         t.grad[...] = np.inf
