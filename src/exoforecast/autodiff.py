@@ -25,8 +25,9 @@ Memory contract:
   running sum of a leaf's adjoint.
 - ``affine`` keeps its inputs and output, not the product ``a @ w``.
 - ``cond_embed`` keeps its inputs ``x`` and ``e``, the weights and, in
-  training mode, a ``bool`` dropout keep-mask (one byte per output
-  element); its VJP recomputes the pre-activation and the activation.
+  training mode, the ``bool`` dropout keep-mask it is given (one byte per
+  output element), which ``selector.keep_mask`` drew; its VJP recomputes
+  the pre-activation and the activation.
 - ``moe_combine`` keeps only its inputs and output on the tape; its VJP
   recomputes the K expert projections.
 - Both walk the flattened leading rows in chunks of at most ``BLOCK``
@@ -697,13 +698,14 @@ class _RowSum:
 
 
 def cond_embed(x, e, w_x, w_e, b, activation: str = "relu", keep_prob: float = 1.0,
-               rng: Optional[np.random.Generator] = None) -> Tensor:
+               keep: Optional[np.ndarray] = None) -> Tensor:
     """Conditional embedding ``Dropout(Act(x @ w_x + e @ w_e + b))`` as one node.
 
     ``x`` (..., T, F) and ``e`` (..., T, F_exo) share their leading shape;
-    ``activation`` names an ``ACTIVATIONS`` rule. With an ``rng``, inverted
-    dropout draws a ``bool`` keep-mask of the whole output shape at once, as
-    ``dropout`` does, and scales survivors by ``1 / keep_prob``.
+    ``activation`` names an ``ACTIVATIONS`` rule. With a ``keep`` mask, a
+    ``bool`` array of the output's shape, inverted dropout zeroes the
+    elements it does not keep and scales survivors by ``1 / keep_prob``;
+    without one the dropout is the identity. The node draws nothing.
 
     The value and every gradient equal the matmul/add/activation/dropout
     composition bit for bit. The tape keeps the inputs and the keep-mask;
@@ -724,10 +726,9 @@ def cond_embed(x, e, w_x, w_e, b, activation: str = "relu", keep_prob: float = 1
     rows = math.prod(lead)
     xr = xv.reshape((rows, steps, xv.shape[-1]))
     er = ev.reshape((rows, steps, ev.shape[-1]))
-    keep = None
-    if rng is not None:
+    if keep is not None:
         check_keep_prob(keep_prob)
-        keep = (rng.random(lead + (steps, width)) < keep_prob).reshape(rows, steps, width)
+        keep = keep.reshape(rows, steps, width)
     chunks = _row_chunks(rows, steps * width)
 
     def act(c):

@@ -35,12 +35,7 @@ from .fusion import (
     init_learnable_weights,
 )
 from .graphs import GRAPH_KINDS, Graph, build_graph, row_normalize, with_self_loops
-from .selector import (
-    init_cond_embed,
-    init_expert_bank,
-    select_stage,
-    skip_select_draws,
-)
+from .selector import init_cond_embed, init_expert_bank, keep_mask, select_stage
 
 ARCHIVE_MAGIC = b"EXOF0001"
 # N * T * H elements that predict's workers together may span: 3 windows per
@@ -70,9 +65,9 @@ def _openblas_threads():
 _BLAS_THREADS = _openblas_threads()
 # processes ``predict`` forwards its chunks on, the calling one included: one
 # per core, or 1 (serial) where BLAS cannot be held to one thread while they
-# run or the platform cannot fork
-PREDICT_WORKERS = (len(os.sched_getaffinity(0))
-                   if _BLAS_THREADS and hasattr(os, "fork") else 1)
+# run, the platform cannot fork or cannot tell which cores this process owns
+PREDICT_WORKERS = (len(os.sched_getaffinity(0)) if _BLAS_THREADS and hasattr(os, "fork")
+                   and hasattr(os, "sched_getaffinity") else 1)
 
 
 def _workers() -> int:
@@ -201,36 +196,30 @@ class _Child:
             self.join()
 
 
-def _serve_future(child: _Child, model: "ExoModel", rng: np.random.Generator,
-                  leaves: list[Tensor]) -> None:
+def _serve_future(child: _Child, model: "ExoModel") -> None:
     """In the forked child of a ``BranchWorker``: run the future branch of
     one training step per request until the parent closes the pipe.
 
-    A request is (x, the past input's shape, e_future, rng state, values),
-    where ``values`` maps indices into ``leaves`` to their current values.
-    The child runs ``ExoModel._future_branch`` on a tape of its own from
-    that state and sends its forecast and the state the rng is left in. It
-    then receives the forecast's adjoint, sweeps its tape from it and
-    sends the grads this sweep added to the leaves the branch read, by
-    index."""
+    A request is (x, e_future, the branch's keep mask or ``None``, the
+    values of ``model.future_leaves()``). The child runs
+    ``ExoModel._future_branch`` with those values on a tape of its own and
+    sends its forecast. It then receives the forecast's adjoint, sweeps
+    its tape from it and sends the grads this sweep gave the leaves, in
+    order. It draws nothing and keeps nothing between steps."""
+    leaves = model.future_leaves()
     while True:
         try:
-            x, past_shape, e_future, state, values = child.receive()
+            x, e_future, keep, values = child.receive()
         except EOFError:
             return
-        for i, value in values.items():
-            leaves[i].values = value
-        rng.bit_generator.state = state
+        for leaf, value in zip(leaves, values):
+            leaf.values = value
+            leaf.zero_grad()
         with ad.Tape() as tape:
-            out = model._future_branch(x, past_shape, e_future, rng)
-        child.send((True, (out.values, rng.bit_generator.state)))
-        adjoint = child.receive()
-        read = {id(t) for node in tape.nodes for t in node.inputs}
-        index = [i for i, t in enumerate(leaves) if id(t) in read]
-        for i in index:
-            leaves[i].zero_grad()
-        tape.backward(out, adjoint)
-        child.send((True, {i: leaves[i].grad for i in index}))
+            out = model._future_branch(x, e_future, keep)
+        child.send((True, out.values))
+        tape.backward(out, child.receive())
+        child.send((True, [leaf.grad for leaf in leaves]))
         del tape, out  # no activations are held between steps
 
 
@@ -241,11 +230,12 @@ class BranchWorker:
     Open it around the steps that may use it, as ``train`` does, and end
     each step with ``collect``, as ``train_step`` does. The child is forked,
     with OpenBLAS held at one thread, at the first step that runs its
-    branch there, and serves every later one: each later request carries
-    the values of the leaves its branch read, so it computes with the
-    caller's parameters. Forking once per run, not per step, keeps the
-    pages both processes write private after the first step, so no step
-    pays for copy-on-write faults.
+    branch there, and serves every later one. Each request carries the
+    step's inputs, the future branch's keep mask, which the caller drew,
+    and the values of ``model.future_leaves()``, so the child computes
+    with the caller's parameters and holds no state of its own. Forking
+    once per run, not per step, keeps the pages both processes write
+    private after the first step, so no step pays for copy-on-write faults.
 
     A step's ``future`` is one node on the caller's tape, whose VJP sends
     its adjoint to the child without waiting, once: a second sweep raises.
@@ -258,44 +248,35 @@ class BranchWorker:
     def __init__(self):
         self._child: Optional[_Child] = None
         self._blas: Optional[int] = None
-        self._rng: Optional[np.random.Generator] = None
         self._leaves: list[Tensor] = []
-        self._read: list[int] = []  # the leaves the child's branch read, by index
         self._step = 0  # steps started
         self._pending = self._swept = False
 
     def __enter__(self) -> "BranchWorker":
         return self
 
-    def start(self, model: "ExoModel", x: Tensor, past_shape: tuple, e_future: Tensor,
-              rng: np.random.Generator) -> None:
-        """Have the child run ``model``'s future branch of this step from
-        the state ``rng`` is in before the past select stage draws; see
-        ``ExoModel._future_branch``."""
+    def start(self, model: "ExoModel", x: Tensor, e_future: Tensor,
+              keep: Optional[np.ndarray]) -> None:
+        """Have the child run ``model``'s future branch of this step with
+        dropout keep mask ``keep``; see ``ExoModel._future_branch``."""
         if self._child is None:
             get_threads, set_threads = _BLAS_THREADS
             if self._blas is None:
                 self._blas = get_threads()
             set_threads(1)
-            self._leaves = leaves = list(model.parameters().values())
+            self._leaves = model.future_leaves()
             self._child = _Child("future-branch worker",
-                                 lambda child: _serve_future(child, model, rng, leaves))
-            values = {}  # the child was forked with them
-        else:
-            values = {i: self._leaves[i].values for i in self._read}
-        self._child.send((x.values, past_shape, e_future.values, rng.bit_generator.state,
-                          values))
-        self._rng = rng
+                                 lambda child: _serve_future(child, model))
+        self._child.send((x.values, e_future.values, keep,
+                          [leaf.values for leaf in self._leaves]))
         self._step += 1
         self._pending, self._swept = True, False
 
     def future(self) -> Tensor:
-        """The branch's forecast; the caller's rng moves on to the state
-        the child left it in."""
-        values, state = self._child.result()
-        self._rng.bit_generator.state = state
+        """The branch's forecast."""
         step = self._step
-        return ad.remote(values, lambda adjoint: self._send_adjoint(step, adjoint))
+        return ad.remote(self._child.result(),
+                         lambda adjoint: self._send_adjoint(step, adjoint))
 
     def _send_adjoint(self, step: int, adjoint: np.ndarray) -> None:
         if step != self._step or not self._pending or self._swept:
@@ -313,10 +294,8 @@ class BranchWorker:
             self._child.kill()
             self._child = None
             return
-        grads = self._child.result()
-        for i, grad in grads.items():
-            self._leaves[i].grad += grad
-        self._read = sorted(grads)
+        for leaf, grad in zip(self._leaves, self._child.result()):
+            leaf.grad += grad
 
     def __exit__(self, exc_type, exc, tb):
         self._pending = False
@@ -496,43 +475,39 @@ class ExoModel:
         """Run the full pipeline; returns (prediction, alpha or None).
 
         Inputs may be numpy arrays or Tensors shaped (..., N, T, F). A given
-        ``rng`` means training: both select stages draw their dropout masks
-        from it, past branch first, when ``keep_prob < 1``. Without one the
-        forward is the eval-mode map and draws nothing.
+        ``rng`` means training: before either branch runs, ``keep_mask``
+        draws the past select stage's dropout mask from it, then the
+        future one's, when ``keep_prob < 1``. Without one the forward is the
+        eval-mode map and draws nothing. Each branch (``_branch``) runs its
+        select stage, then its backbone, past branch first.
 
-        Inside a ``BranchWorker`` scope, with a tape open, an ``rng`` and
-        ``_workers()`` above 1, the future branch (select stage and
-        backbone) runs on a forked child when no tensor is read by both
-        branches: not with ``shared`` or ``attention`` fusion, a tracked
-        graph (the adaptive ones) or tracked inputs, and only when a
-        branch's (B, N, T, H) activation holds at least ``BRANCH_FORK_MIN``
-        elements. The child starts from the rng's state before the past
-        select stage, skips that stage's draws and draws the future mask
-        (``_future_branch``), while the caller runs the past select stage
-        and backbone. It records its own tape and sends back its forecast
-        and the rng's state, which the caller's rng takes. The forecast
-        joins the caller's tape as one node, whose adjoint goes to the
-        child for its backward; see ``BranchWorker``. The branches share no
-        tensor, so every value, grad and draw equals the serial forward's
-        bit for bit.
+        Inside a ``BranchWorker`` scope, with a tape open and ``_workers()``
+        above 1, the future branch runs on a forked child when no tensor is
+        read by both branches: not with ``shared`` or ``attention`` fusion,
+        a tracked graph (the adaptive ones) or tracked inputs, and only when
+        a branch's (B, N, T, H) activation holds at least
+        ``BRANCH_FORK_MIN`` elements. The child gets the inputs, the future
+        mask and the values of ``future_leaves()``, runs
+        ``_future_branch`` on its own tape and sends back its forecast,
+        while the caller runs the past branch. The forecast joins the
+        caller's tape as one node, whose adjoint goes to the child for its
+        backward; see ``BranchWorker``. The branches share no tensor and the
+        child draws nothing, so every value, grad and draw equals the serial
+        forward's bit for bit.
         """
         cfg = self.config
         x = ad.as_tensor(x)
         e_past = ad.as_tensor(e_past)
         e_future = ad.as_tensor(e_future)
         adj = self.graph.matrix() if self.graph is not None else None
-        backbone_f = self.backbone_p if cfg.fusion == "shared" else self.backbone_f
-        forked = worker is not None and rng is not None and self._forks(x, e_future, adj)
+        keep_p = keep_mask(x.shape, e_past.shape, self.embed_p, rng)
+        keep_f = keep_mask(x.shape, e_future.shape, self.embed_f, rng)
+        forked = worker is not None and self._forks(x, e_future, adj)
         if forked:
-            worker.start(self, x, e_past.shape, e_future, rng)
-        x_p = select_stage(x, e_past, self.embed_p, self.bank_p, pad_side="head", rng=rng)
-        if forked:
-            y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
-            y_f, pen_f = worker.future(), None
-        else:
-            x_f = select_stage(x, e_future, self.embed_f, self.bank_f, pad_side="tail", rng=rng)
-            y_p, pen_p = backbone_forward(x_p, adj, self.backbone_p, self.spec)
-            y_f, pen_f = backbone_forward(x_f, adj, backbone_f, self.spec)
+            worker.start(self, x, e_future, keep_f)
+        y_p, pen_p = self._branch("p", x, e_past, keep_p, adj)
+        y_f, pen_f = (worker.future(), None) if forked else \
+            self._branch("f", x, e_future, keep_f, adj)
 
         if cfg.fusion == "sum":
             return ad.add(y_p, y_f), None
@@ -546,23 +521,37 @@ class ExoModel:
         # each enhanced state mapped through its branch's output head
         enh_p, enh_f = attention_enhance(pen_p, pen_f, self.attention)
         return fuse_simple(readout_head(enh_p, self.backbone_p.readout),
-                           readout_head(enh_f, backbone_f.readout)), None
+                           readout_head(enh_f, self.backbone_f.readout)), None
 
-    def _future_branch(self, x, past_shape: tuple, e_future,
-                       rng: np.random.Generator) -> Tensor:
+    def _branch(self, side: str, x: Tensor, e: Tensor, keep: Optional[np.ndarray],
+                adj: Optional[Tensor]) -> tuple[Tensor, Tensor]:
+        """Branch ``side`` (``"p"`` or ``"f"``): its select stage with
+        dropout keep mask ``keep``, then its backbone, which the ``shared``
+        strategy takes from the past branch; returns (forecast,
+        penultimate features)."""
+        past = side == "p"
+        x_s = select_stage(x, e, self.embed_p if past else self.embed_f,
+                           self.bank_p if past else self.bank_f,
+                           pad_side="head" if past else "tail", keep=keep)
+        backbone = self.backbone_p if past or self.backbone_f is None else self.backbone_f
+        return backbone_forward(x_s, adj, backbone, self.spec)
+
+    def _future_branch(self, x, e_future, keep: Optional[np.ndarray]) -> Tensor:
         """The future branch's forecast alone, as a ``BranchWorker`` child
-        runs it for ``forward`` from the rng's state before the past select
-        stage: it skips that stage's draws for a past input of
-        ``past_shape``, then runs the select stage and the backbone."""
-        x, e_future = ad.as_tensor(x), ad.as_tensor(e_future)
-        skip_select_draws(x.shape, past_shape, self.embed_p, rng)
+        runs it for ``forward``."""
         adj = self.graph.matrix() if self.graph is not None else None
-        x_f = select_stage(x, e_future, self.embed_f, self.bank_f, pad_side="tail", rng=rng)
-        return backbone_forward(x_f, adj, self.backbone_f, self.spec)[0]
+        return self._branch("f", ad.as_tensor(x), ad.as_tensor(e_future), keep, adj)[0]
+
+    def future_leaves(self) -> list[Tensor]:
+        """The leaves the future branch reads when it may fork (see
+        ``_forks``): its embedding's, its expert bank's and its backbone's,
+        in ``parameters()`` order."""
+        return [t for name, t in self.parameters().items()
+                if name.startswith(("embed.f.", "select.f.", "backbone.f."))]
 
     def _forks(self, x: Tensor, e_future: Tensor, adj: Optional[Tensor]) -> bool:
-        """Whether a training forward's future branch runs on a forked child
-        (see ``forward``), given its rng and ``BranchWorker``."""
+        """Whether a forward's future branch runs on a forked child (see
+        ``forward``), given a ``BranchWorker``."""
         t = max(x.shape[-2], e_future.shape[-2])
         return (ad._active_tape() is not None and self.config.fusion not in ("shared", "attention")
                 and not any(v is not None and (v.requires_grad or v.tape is not None)

@@ -2,9 +2,10 @@
 
 Endogenous history is projected into an exogenous-conditioned latent space
 (one space per exogenous type), then K expert projections are convexly
-recombined per node and step by a dense softmax gate. A given rng means
-training: dropout then draws from it whenever ``keep_prob < 1``, and without
-one the stage is the eval-mode map and draws nothing. A branch records four
+recombined per node and step by a dense softmax gate. ``keep_mask`` is the
+one place a dropout mask is drawn: a training forward draws each branch's
+mask with it and hands it to the stage, and a stage without one is the
+eval-mode map. A branch records four
 tape nodes: the fused conditional embedding (``autodiff.cond_embed``), the
 gate's matmul and softmax, and the fused recombination
 (``autodiff.moe_combine``). Both fused nodes keep their inputs, not their
@@ -86,13 +87,11 @@ def _pad_time(t: Tensor, length: int, side: str) -> Tensor:
 
 
 def conditional_embed(x: Tensor, e: Tensor, params: CondEmbedParams, *,
-                      pad_side: str = "head",
-                      rng: Optional[np.random.Generator] = None) -> Tensor:
+                      pad_side: str = "head", keep: Optional[np.ndarray] = None) -> Tensor:
     """Dropout(Act(x W_x + e W_e + b)) with element-wise add fusion.
 
-    A given ``rng`` means training: dropout draws its mask from it when
-    ``params.keep_prob < 1``. Without one, or at ``keep_prob`` 1, the
-    dropout is the identity and nothing is drawn.
+    A given ``keep`` mask, from ``keep_mask``, means training: dropout keeps
+    the elements it marks. Without one the dropout is the identity.
 
     When the two streams differ in length the shorter one is zero-padded
     along time: at the head for the past branch, at the tail for the future.
@@ -110,7 +109,7 @@ def conditional_embed(x: Tensor, e: Tensor, params: CondEmbedParams, *,
     x = _pad_time(x, length, pad_side)
     e = _pad_time(e, length, pad_side)
     return ad.cond_embed(x, e, params.w_x, params.w_e, params.b, params.activation,
-                         params.keep_prob, rng if params.keep_prob < 1.0 else None)
+                         params.keep_prob, keep)
 
 
 def moe_gate(x_tau: Tensor, gate: Tensor) -> Tensor:
@@ -131,20 +130,23 @@ def moe_select(x_tau: Tensor, bank: ExpertBank, g: Tensor) -> Tensor:
 
 def select_stage(x: Tensor, e: Tensor, embed: CondEmbedParams,
                  bank: Optional[ExpertBank], *, pad_side: str,
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
+                 keep: Optional[np.ndarray] = None) -> Tensor:
     """Full select stage; without a bank (the selector ablation) the
-    conditional embedding passes through. A given ``rng`` means training:
-    the embedding's dropout draws from it."""
-    x_tau = conditional_embed(x, e, embed, pad_side=pad_side, rng=rng)
+    conditional embedding passes through. A given ``keep`` mask means
+    training: the embedding's dropout keeps what it marks."""
+    x_tau = conditional_embed(x, e, embed, pad_side=pad_side, keep=keep)
     if bank is None:
         return x_tau
     return moe_select(x_tau, bank, moe_gate(x_tau, bank.gate))
 
 
-def skip_select_draws(x_shape: tuple, e_shape: tuple, embed: CondEmbedParams,
-                      rng: np.random.Generator) -> None:
-    """Advance ``rng`` past the draws a training ``select_stage`` makes on
-    inputs of these shapes: when ``keep_prob < 1``, the one ``rng.random``
-    keep-mask of its output's shape that ``autodiff.cond_embed`` draws."""
-    if embed.keep_prob < 1.0:
-        rng.random(x_shape[:-2] + (max(x_shape[-2], e_shape[-2]), embed.w_x.shape[-1]))
+def keep_mask(x_shape: tuple, e_shape: tuple, embed: CondEmbedParams,
+              rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """The ``bool`` dropout keep-mask of a training ``select_stage`` on
+    inputs of these shapes: one ``rng.random`` of its output's shape, kept
+    where below ``keep_prob``. ``None``, drawing nothing, without an ``rng``
+    or at ``keep_prob`` 1."""
+    if rng is None or embed.keep_prob >= 1.0:
+        return None
+    shape = x_shape[:-2] + (max(x_shape[-2], e_shape[-2]), embed.w_x.shape[-1])
+    return rng.random(shape) < embed.keep_prob

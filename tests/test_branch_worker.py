@@ -24,7 +24,7 @@ from exoforecast import model as model_module
 from exoforecast import training
 from exoforecast.cli import main
 from exoforecast.model import BranchWorker, ExoModel, ModelConfig
-from helpers import blas_guard, no_child_left, one_error_line
+from helpers import CallLog, blas_guard, no_child_left, one_error_line
 from test_same_bits import TINY, _runs
 
 pytestmark = pytest.mark.skipif(
@@ -104,6 +104,50 @@ def test_small_steps_stay_in_the_caller(data, tmp_path, monkeypatch, future_log)
     monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
     assert _train(data, tmp_path / "run") == 0
     assert future_log.rows() == [] and no_child_left()
+
+
+def test_the_child_draws_nothing(data, tmp_path, monkeypatch, forking):
+    """``forward`` draws both dropout masks before it forks, so every
+    ``keep_mask`` call of a 2-worker run is the caller's."""
+    draws, draw = CallLog(tmp_path / "draws.log"), model_module.keep_mask
+
+    def logged(*args):
+        draws.write(os.getpid())
+        return draw(*args)
+
+    monkeypatch.setattr(model_module, "keep_mask", logged)
+    monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+    try:
+        with blas_guard(2):
+            assert _train(data, tmp_path / "run") == 0
+        assert draws.rows() and set(draws.rows()) == {(os.getpid(),)}
+    finally:
+        os.close(draws.fd)
+    children = {pid for (pid,) in forking.rows()}
+    assert len(children) == 1 and os.getpid() not in children
+
+
+def test_taped_eval_forward_forks(monkeypatch, forking):
+    """Without an rng nothing is drawn, so a taped eval-mode forward runs
+    its future branch on a child too, with the 1-worker forecast and grads."""
+    rng = np.random.default_rng(0)
+    x, e_p, e_f = (rng.normal(size=(5, 3, t, 1)) for t in (4, 4, 3))
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(model_module, "PREDICT_WORKERS", workers)
+        model = ExoModel(SMALL)
+        with blas_guard(2):
+            with BranchWorker() as worker:
+                with ad.Tape() as tape:
+                    y = model.forward(x, e_p, e_f, worker=worker)[0]
+                    loss = ad.mean(ad.mul(y, y))
+                tape.backward(loss)
+                worker.collect()
+        got[workers] = [y.values.tobytes()] + [p.grad.tobytes()
+                                                for p in model.parameters().values()]
+    assert got[2] == got[1]
+    ((child,),) = forking.rows()
+    assert child != os.getpid()
 
 
 class FutureError(Exception):

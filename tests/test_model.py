@@ -425,6 +425,40 @@ class TestChunkedPredict:
         model.predict(*tiny_inputs(cfg, batch=5))
         assert sizes == [2, 2, 1]
 
+    def test_without_affinity_call_predict_runs_serially(self):
+        """Where ``os.sched_getaffinity`` is missing, the module imports with
+        one worker, and a multi-slice ``predict`` forwards every slice in
+        the calling process and equals one whole-batch forward."""
+        script = textwrap.dedent("""
+            import os
+            del os.sched_getaffinity
+            import numpy as np
+            from exoforecast import model as model_module
+            from exoforecast.model import ExoModel, ModelConfig
+
+            assert model_module.PREDICT_WORKERS == 1
+            cfg = ModelConfig(n_nodes=3, past_exo_dim=1, future_exo_dim=1, t_past=4,
+                              t_future=3, hidden=4, experts=2, mix_hidden=3,
+                              graph_kind="identity", seed=0)
+            model = ExoModel(cfg)
+            rng = np.random.default_rng(0)
+            inputs = [rng.normal(size=(9, 3, t, 1)) for t in (4, 4, 3)]
+            whole = model.forward(*inputs)[0].values
+            model_module.PREDICT_CHUNK = 2 * 3 * 4 * 4
+            sizes, forward = [], ExoModel.forward
+            ExoModel.forward = lambda self, x, *args: sizes.append(len(x)) or forward(self, x, *args)
+            def no_fork():
+                raise AssertionError("predict forked")
+            os.fork = no_fork
+            assert model.predict(*inputs).tobytes() == whole.tobytes() and sizes == [2, 2, 2, 2, 1]
+            print("serial")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "serial\n"), done.stderr
+
     def test_peak_memory_is_one_chunk(self):
         """At the paper width, 4 chunks of windows peak below twice one chunk."""
         cfg = tiny_config(n_nodes=24, past_exo_dim=12, future_exo_dim=12, t_past=24,

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from exoforecast import autodiff as ad
+from exoforecast import model as model_module
 from exoforecast.autodiff import Tensor
 from exoforecast.backbones import BACKBONE_KINDS
 from exoforecast.fusion import FUSION_STRATEGIES
 from exoforecast.graphs import GRAPH_KINDS
 from exoforecast.model import ExoModel, ModelConfig, load_model, save_model
+from exoforecast.selector import keep_mask
 
 N, PAST, FUTURE, T_PAST, T_FUTURE, H, K, M, D = 3, 2, 3, 5, 4, 4, 3, 6, 8
 T_IN = max(T_PAST, T_FUTURE)
@@ -156,3 +158,31 @@ def test_training_forward_reads_every_parameter(backbone, fusion, graph, selecto
                       rng.normal(size=(2, N, T_FUTURE, FUTURE)), rng=rng)
     read = {id(t) for node in tape.nodes for t in node.inputs}
     assert [name for name, t in model.parameters().items() if id(t) not in read] == []
+
+
+def test_future_leaves_are_what_a_forkable_future_branch_reads(monkeypatch):
+    """A ``BranchWorker`` child receives the values of ``future_leaves()``
+    and sends back their grads, so wherever ``_forks`` can hold, the
+    ``requires_grad`` leaves a serial future branch's tape reads must be
+    exactly those. It cannot hold under ``shared`` or ``attention`` fusion
+    or with an adaptive grugcn graph: 48 of the 96 combinations."""
+    monkeypatch.setattr(model_module, "PREDICT_WORKERS", 2)
+    monkeypatch.setattr(model_module, "BRANCH_FORK_MIN", 0)
+    rng = np.random.default_rng(1)
+    x, e_f = Tensor(rng.normal(size=(2, N, T_PAST, 1))), \
+        Tensor(rng.normal(size=(2, N, T_FUTURE, FUTURE)))
+    forkable, differ = [], []
+    for combo in itertools.product(BACKBONE_KINDS, FUSION_STRATEGIES, GRAPH_KINDS,
+                                   (True, False)):
+        model = _model(*combo)
+        with ad.Tape() as tape:  # keep_prob 0.9: dropout is on
+            adj = model.graph.matrix() if model.graph is not None else None
+            if not model._forks(x, e_f, adj):
+                continue
+            model._branch("f", x, e_f, keep_mask(x.shape, e_f.shape, model.embed_f, rng), adj)
+        forkable.append(combo)
+        read = {id(t) for node in tape.nodes for t in node.inputs if t.requires_grad}
+        leaves = [id(t) for t in model.future_leaves()]
+        if len(set(leaves)) != len(leaves) or set(leaves) != read:
+            differ.append(combo)
+    assert (len(forkable), differ) == (48, [])

@@ -17,6 +17,7 @@ from exoforecast.selector import (
     conditional_embed,
     init_cond_embed,
     init_expert_bank,
+    keep_mask,
     moe_gate,
     moe_select,
     select_stage,
@@ -395,6 +396,31 @@ def composed_conditional_embed(x, e, params, *, pad_side="head", rng=None):
     return act
 
 
+def drawn_conditional_embed(x, e, params, *, rng=None):
+    """``conditional_embed`` as a training forward runs it: ``keep_mask``
+    draws the keep mask from ``rng``."""
+    return conditional_embed(x, e, params, keep=keep_mask(x.shape, e.shape, params, rng))
+
+
+class _Replay:
+    """Stands in for the generator a keep mask was drawn from: its one
+    ``random`` draw is 0 where ``keep`` is set and 1 elsewhere, so
+    ``ad.dropout`` rebuilds that mask at any ``keep_prob`` in (0, 1)."""
+
+    def __init__(self, keep):
+        self.keep = keep
+
+    def random(self, shape):
+        return np.where(self.keep, 0.0, 1.0)
+
+
+def _composed_on_mask(x, e, params, *, pad_side, keep):
+    """``composed_conditional_embed`` in ``select_stage``'s call, dropping
+    through ``ad.dropout`` what ``keep`` drops."""
+    return composed_conditional_embed(x, e, params, pad_side=pad_side,
+                                      rng=None if keep is None else _Replay(keep))
+
+
 def _embed_case(kind, seed=0):
     """(x, e, w_x, w_e, b, output weights) for one cond-embed oracle case."""
     rng = np.random.default_rng(seed)
@@ -455,7 +481,7 @@ class TestFusedCondEmbed:
                                              tracked, kind, chunk, monkeypatch):
         case = _embed_case(kind)
         _set_chunk(monkeypatch, chunk, math.prod(case[-1].shape[-2:]))
-        got = _run_embed(conditional_embed, case, activation, train, keep_prob, tracked)
+        got = _run_embed(drawn_conditional_embed, case, activation, train, keep_prob, tracked)
         want = _run_embed(composed_conditional_embed, case, activation, train,
                           keep_prob, tracked)
         _assert_same_bytes([got[0]], [want[0]])
@@ -481,8 +507,8 @@ class TestFusedCondEmbed:
     def test_untracked_inputs_record_nothing(self):
         x, e, w_x, w_e, b, _ = _embed_case("random")
         with ad.Tape() as tape:
-            out = ad.cond_embed(*(Tensor(v) for v in (x, e, w_x, w_e, b)),
-                                keep_prob=0.5, rng=np.random.default_rng(0))
+            out = ad.cond_embed(*(Tensor(v) for v in (x, e, w_x, w_e, b)), keep_prob=0.5,
+                                keep=np.random.default_rng(0).random(e.shape[:-1] + b.shape) < 0.5)
         assert tape.nodes == [] and out.tape is None
 
 
@@ -498,7 +524,7 @@ def _paper_model(backbone, batch, seed=0):
 
 
 def _patch_composition(m):
-    m.setattr(selector, "conditional_embed", composed_conditional_embed)
+    m.setattr(selector, "conditional_embed", _composed_on_mask)
     m.setattr(ad, "moe_combine", composed_moe)
 
 
